@@ -10,7 +10,14 @@ a CLI over all of it.
 
 from __future__ import annotations
 
-from .metrics import InversionSnapshot, count_inversions, max_inversions, swap_bounds, take_snapshot
+from .metrics import (
+    InversionSnapshot,
+    count_inversions,
+    inversion_delta,
+    max_inversions,
+    swap_bounds,
+    take_snapshot,
+)
 from .oracle import (
     OracleSummary,
     enumerate_permutations,
@@ -71,6 +78,7 @@ __all__ = [
     "icbics_desc_loopswap",
     "icbics_sort",
     "improved_sort",
+    "inversion_delta",
     "max_inversions",
     "random_suite",
     "replay_trace",

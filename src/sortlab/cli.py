@@ -35,7 +35,17 @@ from .oracle import (
     theorem2_extremal_inputs,
     theorem4_extremal_input,
 )
-from .sortcore import ALGORITHMS, TraceEvent, TraceRecorder, icbics_sort
+from .sortcore import (
+    ALGORITHMS,
+    KIND_COMPARE,
+    KIND_SWAP,
+    PHASE_INSERTION,
+    PHASE_NA,
+    PHASE_SELECTION,
+    TraceEvent,
+    TraceRecorder,
+    icbics_sort,
+)
 from .verify import (
     CHECK_IDS,
     check_lemma1,
@@ -96,8 +106,18 @@ def write_trace(path: str, events: Sequence[TraceEvent]) -> None:
             fh.write("\n")
 
 
+# Each loaded kind and phase is swapped for the module's own string, so a
+# long trace holds no per-event copies of these few values.
+_TRACE_KINDS = {kind: kind for kind in (KIND_COMPARE, KIND_SWAP)}
+_TRACE_PHASES = {phase: phase for phase in (PHASE_SELECTION, PHASE_INSERTION, PHASE_NA)}
+
+
 def load_trace(path: str) -> list[TraceEvent]:
-    """Read a JSON-lines trace back into events."""
+    """Read a JSON-lines trace back into events.
+
+    Raises ``ValueError`` on a ``kind`` or ``phase`` that no sorter
+    emits.
+    """
     events = []
     with open(path, "r", encoding="utf-8") as fh:
         for line in fh:
@@ -105,7 +125,11 @@ def load_trace(path: str) -> list[TraceEvent]:
             if not line:
                 continue
             raw = json.loads(line)
-            events.append(TraceEvent(raw["seq"], raw["kind"], raw["i"], raw["j"], raw["phase"]))
+            kind = _TRACE_KINDS.get(raw["kind"])
+            phase = _TRACE_PHASES.get(raw["phase"])
+            if kind is None or phase is None:
+                raise ValueError(f"unknown kind or phase in trace event: {line}")
+            events.append(TraceEvent(raw["seq"], kind, raw["i"], raw["j"], phase))
     return events
 
 

@@ -28,6 +28,30 @@ def count_inversions(a: Sequence) -> int:
     return total
 
 
+def inversion_delta(a: Sequence, p: int, q: int) -> int:
+    """Change in ``count_inversions(a)`` if ``a[p]`` and ``a[q]`` were
+    exchanged, in O(|q - p|) without touching ``a``.  Distinct keys only.
+
+    With ``p < q``, ``x = a[p]`` and ``y = a[q]``: the pair (p, q) flips,
+    and so does each pair (p, k) and (k, q) for ``p < k < q`` whose
+    ``a[k]`` lies strictly between x and y; every other pair keeps its
+    order.  So the change is ``+(1 + 2c)`` when ``x < y`` and
+    ``-(1 + 2c)`` when ``x > y``, where c counts those in-between cells.
+    """
+    if p > q:
+        p, q = q, p
+    elif p == q:
+        return 0
+    x = a[p]
+    y = a[q]
+    lo, hi, sign = (x, y, 1) if x < y else (y, x, -1)
+    between = 0
+    for k in range(p + 1, q):
+        if lo < a[k] < hi:
+            between += 1
+    return sign * (1 + 2 * between)
+
+
 def max_inversions(n: int) -> int:
     """Largest possible inversion count for length ``n``: ``n(n-1)/2``,
     achieved by a strictly decreasing array."""

@@ -15,7 +15,7 @@ is always emitted immediately after the comparison that triggered it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence, TypeVar
+from typing import Callable, NamedTuple, Sequence, TypeVar
 
 Key = TypeVar("Key")
 
@@ -27,8 +27,7 @@ KIND_COMPARE = "compare"
 KIND_SWAP = "swap"
 
 
-@dataclass(frozen=True, slots=True)
-class TraceEvent:
+class TraceEvent(NamedTuple):
     """One comparison or swap.
 
     ``i`` and ``j`` are the 1-based positions of the two cells compared
@@ -37,6 +36,10 @@ class TraceEvent:
     ``phase`` is meaningful only for ``icbics_sort``: its first outer
     pass is the selection phase, every later pass the insertion phase.
     All other algorithms emit ``not_applicable``.
+
+    A named tuple because the sorters build one per comparison: it costs
+    about half what a frozen dataclass does to construct, and its fields
+    are just as read-only.
     """
 
     seq: int
@@ -216,8 +219,9 @@ def icbics_desc_ineq(values: Sequence[Key], observer: Observer | None = None) ->
 def icbics_desc_loopswap(values: Sequence[Key], observer: Observer | None = None) -> SortReport:
     """Descending variant of ``icbics_sort`` obtained by exchanging the
     two loops (outer ``j``, inner ``i``) while keeping the ``A[i] < A[j]``
-    condition.  By the i/j symmetry this sorts non-increasing and, on
-    distinct keys, matches ``icbics_desc_ineq`` output exactly.
+    condition.  By the i/j symmetry this sorts non-increasing and
+    matches ``icbics_desc_ineq``'s output and swap count on every
+    input, duplicates included.
 
     Trace events still report ``(i, j)`` as the comparison operands, so
     here ``j`` is the outer-loop index.
@@ -290,14 +294,25 @@ def replay_trace(values: Sequence[Key], events: Sequence[TraceEvent]) -> list:
 
     Swap events exchange the named 1-based positions; comparison events
     carry no state change.  Replaying a full trace reproduces the
-    originating run's output exactly.
+    originating run's output exactly.  Raises ``ValueError`` on an
+    event naming a position outside 1..n or a kind other than
+    ``compare`` and ``swap``, rather than letting Python's negative
+    indexing wrap position 0 round to the last cell.
     """
     work = list(values)
+    n = len(work)
     for event in events:
-        if event.kind == KIND_SWAP:
-            i = event.i - 1
-            j = event.j - 1
+        i = event.i
+        j = event.j
+        if not (0 < i <= n and 0 < j <= n):
+            raise ValueError(f"trace event {event.seq} names position ({i}, {j}) outside 1..{n}")
+        kind = event.kind
+        if kind == KIND_SWAP:
+            i -= 1
+            j -= 1
             work[i], work[j] = work[j], work[i]
+        elif kind != KIND_COMPARE:
+            raise ValueError(f"trace event {event.seq} has unknown kind {kind!r}")
     return work
 
 

@@ -18,10 +18,11 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Optional, Sequence
 
-from .metrics import count_inversions, max_inversions
+from .metrics import count_inversions, inversion_delta, max_inversions
 from .sortcore import (
+    KIND_SWAP,
     PHASE_SELECTION,
-    TraceRecorder,
+    TraceEvent,
     icbics_sort,
 )
 
@@ -49,88 +50,108 @@ def _require_distinct(values: Sequence, check_id: str) -> None:
         raise ValueError(f"{check_id} check requires distinct elements, got duplicates: {list(values)!r}")
 
 
+class _Violation(Exception):
+    """Raised by a check's observer to stop the sort at the first
+    violation; carries the counterexample."""
+
+    def __init__(self, counterexample: dict) -> None:
+        super().__init__(counterexample)
+        self.counterexample = counterexample
+
+
 def check_pi_invariant(values: Sequence[int]) -> VerificationVerdict:
     """After each outer pass i, the prefix A[1..i] must be sorted and
     A[i] must be the maximum of the whole array.
 
-    Runs ``icbics_sort``, replays its trace, and asserts both facts at
-    every outer-pass boundary (n assertions for length n).
+    Runs ``icbics_sort`` with an observer that replays each swap as it
+    arrives and asserts both facts whenever the outer position ``i`` of
+    the events changes and once after the run (n assertions for length
+    n).  The first violation stops the run.
     """
     _require_distinct(values, "pi")
-    recorder = TraceRecorder()
-    icbics_sort(values, recorder)
-
     work = list(values)
     top = max(work) if work else None
+    current = None
 
-    def violation(outer: int) -> Optional[dict]:
+    def check_boundary(outer: int) -> None:
         # Prefix work[0 .. outer-1] sorted, and work[outer-1] is the array max.
-        prefix = work[:outer]
         for p in range(outer - 1):
-            if prefix[p] > prefix[p + 1]:
-                return {
+            if work[p] > work[p + 1]:
+                raise _Violation(
+                    {
+                        "input": list(values),
+                        "outer": outer,
+                        "expected": "non-decreasing prefix",
+                        "observed": work[:outer],
+                    }
+                )
+        if work[outer - 1] != top:
+            raise _Violation(
+                {
                     "input": list(values),
                     "outer": outer,
-                    "expected": "non-decreasing prefix",
-                    "observed": list(prefix),
+                    "expected": top,
+                    "observed": work[outer - 1],
                 }
-        if work[outer - 1] != top:
-            return {
-                "input": list(values),
-                "outer": outer,
-                "expected": top,
-                "observed": work[outer - 1],
-            }
-        return None
+            )
 
-    current = None
-    for event in recorder.events:
-        if event.i != current:
+    def observe(event: TraceEvent) -> None:
+        nonlocal current
+        i = event.i
+        if i != current:
             if current is not None:
-                bad = violation(current)
-                if bad is not None:
-                    return VerificationVerdict("pi", False, bad)
-            current = event.i
-        if event.kind == "swap":
-            i, j = event.i - 1, event.j - 1
+                check_boundary(current)
+            current = i
+        if event.kind == KIND_SWAP:
+            i -= 1
+            j = event.j - 1
             work[i], work[j] = work[j], work[i]
-    if current is not None:
-        bad = violation(current)
-        if bad is not None:
-            return VerificationVerdict("pi", False, bad)
+
+    try:
+        icbics_sort(values, observe)
+        if current is not None:
+            check_boundary(current)
+    except _Violation as stop:
+        return VerificationVerdict("pi", False, stop.counterexample)
     return VerificationVerdict("pi", True)
 
 
 def check_lemma1(values: Sequence[int]) -> VerificationVerdict:
     """Every selection-phase swap must raise the inversion count by
     exactly one and every insertion-phase swap must lower it by exactly
-    one.  Inversions are recounted by full pair scan around each swap.
+    one.
+
+    Runs ``icbics_sort`` with an observer that, at each swap as it
+    arrives, measures the swap's exact inversion change with
+    ``inversion_delta`` (O(q - p), no full recount) on the replayed
+    array, then applies the swap.  The first violation stops the run.
     """
     _require_distinct(values, "lemma1")
-    recorder = TraceRecorder()
-    icbics_sort(values, recorder)
-
     work = list(values)
-    for event in recorder.events:
-        if event.kind != "swap":
-            continue
-        before = count_inversions(work)
-        i, j = event.i - 1, event.j - 1
-        work[i], work[j] = work[j], work[i]
-        after = count_inversions(work)
+
+    def observe(event: TraceEvent) -> None:
+        if event.kind != KIND_SWAP:
+            return
+        i = event.i - 1
+        j = event.j - 1
+        observed = inversion_delta(work, i, j)
         expected = 1 if event.phase == PHASE_SELECTION else -1
-        if after - before != expected:
-            return VerificationVerdict(
-                "lemma1",
-                False,
+        if observed != expected:
+            raise _Violation(
                 {
                     "input": list(values),
                     "seq": event.seq,
                     "phase": event.phase,
                     "expected": expected,
-                    "observed": after - before,
-                },
+                    "observed": observed,
+                }
             )
+        work[i], work[j] = work[j], work[i]
+
+    try:
+        icbics_sort(values, observe)
+    except _Violation as stop:
+        return VerificationVerdict("lemma1", False, stop.counterexample)
     return VerificationVerdict("lemma1", True)
 
 

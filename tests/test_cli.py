@@ -26,6 +26,7 @@ from sortlab.cli import (
     summarize_bench,
     write_bench_csv,
 )
+from sortlab.sortcore import KIND_COMPARE, KIND_SWAP, PHASE_INSERTION, PHASE_SELECTION
 
 CSV_HEADER = "algorithm,n,rep,seed,comparisons,swaps,wall_ns"
 
@@ -137,6 +138,29 @@ def test_sort_trace_round_trip(tmp_path, capsys):
     assert sum(1 for e in events if e.kind == "compare") == payload["comparisons"]
     assert sum(1 for e in events if e.kind == "swap") == payload["swaps"]
     assert replay_trace([3, 1, 2], events) == payload["output"]
+
+
+def test_load_trace_shares_the_kind_and_phase_constants(tmp_path, capsys):
+    trace_path = tmp_path / "trace.jsonl"
+    assert run(capsys, "sort", "--input", "2,3,1", "--trace", str(trace_path))[0] == 0
+    events = load_trace(str(trace_path))
+    assert {e.kind for e in events} == {KIND_COMPARE, KIND_SWAP}
+    assert all(e.kind is KIND_COMPARE or e.kind is KIND_SWAP for e in events)
+    assert all(e.phase is PHASE_SELECTION or e.phase is PHASE_INSERTION for e in events)
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        '{"seq": 0, "kind": "shift", "i": 1, "j": 2, "phase": "not_applicable"}',
+        '{"seq": 0, "kind": "swap", "i": 1, "j": 2, "phase": "merge"}',
+    ],
+)
+def test_load_trace_rejects_unknown_kind_or_phase(tmp_path, line):
+    trace_path = tmp_path / "trace.jsonl"
+    trace_path.write_text(line + "\n")
+    with pytest.raises(ValueError, match="unknown kind or phase"):
+        load_trace(str(trace_path))
 
 
 def test_sort_unknown_algorithm_is_usage_error(capsys):

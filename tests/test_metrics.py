@@ -3,13 +3,21 @@
 from __future__ import annotations
 
 import random
+from itertools import permutations
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from reference import merge_count_inversions
-from sortlab import InversionSnapshot, count_inversions, max_inversions, swap_bounds, take_snapshot
+from sortlab import (
+    InversionSnapshot,
+    count_inversions,
+    inversion_delta,
+    max_inversions,
+    swap_bounds,
+    take_snapshot,
+)
 
 
 @pytest.mark.parametrize(
@@ -29,6 +37,18 @@ from sortlab import InversionSnapshot, count_inversions, max_inversions, swap_bo
 )
 def test_count_inversions_examples(values, expected):
     assert count_inversions(values) == expected
+
+
+def test_inversion_delta_matches_full_recount():
+    # The full O(n^2) recount stays the reference for the O(q - p) delta.
+    for n in range(0, 7):
+        for perm in permutations(range(1, n + 1)):
+            before = count_inversions(perm)
+            for p in range(n):
+                for q in range(n):
+                    swapped = list(perm)
+                    swapped[p], swapped[q] = swapped[q], swapped[p]
+                    assert inversion_delta(perm, p, q) == count_inversions(swapped) - before, (perm, p, q)
 
 
 def test_max_inversions_values():

@@ -1,0 +1,40 @@
+"""The README's Python examples, run as doctests.
+
+``doctest.testfile`` cannot read README.md as it stands: the closing
+fence of a code block would be taken as part of the expected output.
+So each ```python block is cut out and run on its own.
+"""
+
+from __future__ import annotations
+
+import doctest
+import re
+from pathlib import Path
+
+import pytest
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+BLOCK = re.compile(r"^```python\n(.*?)^```", re.MULTILINE | re.DOTALL)
+
+
+def python_blocks() -> list[tuple[int, str]]:
+    """(first line number, source) of every ```python block."""
+    text = README.read_text(encoding="utf-8")
+    return [(text.count("\n", 0, match.start(1)), match.group(1)) for match in BLOCK.finditer(text)]
+
+
+BLOCKS = python_blocks()
+
+
+def test_readme_has_python_examples():
+    assert len(BLOCKS) >= 2
+
+
+@pytest.mark.parametrize("lineno, source", BLOCKS, ids=[f"README.md:{lineno + 1}" for lineno, _ in BLOCKS])
+def test_readme_example(lineno, source):
+    test = doctest.DocTestParser().get_doctest(source, {}, f"README.md:{lineno + 1}", str(README), lineno)
+    assert test.examples
+    runner = doctest.DocTestRunner()
+    out = []
+    result = runner.run(test, out=out.append)
+    assert result.failed == 0, "".join(out)

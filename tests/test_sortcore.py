@@ -188,6 +188,19 @@ def test_descending_variants_agree():
             assert icbics_desc_ineq(perm).output == icbics_desc_loopswap(perm).output
 
 
+def test_descending_variants_agree_on_every_input():
+    # Not only on distinct keys: outputs and swap counts agree on every
+    # input over {1..4} up to n = 6, duplicates included.
+    inputs = 0
+    for n in range(0, 7):
+        for values in product((1, 2, 3, 4), repeat=n):
+            inputs += 1
+            ineq = icbics_desc_ineq(values)
+            loops = icbics_desc_loopswap(values)
+            assert (ineq.output, ineq.swaps) == (loops.output, loops.swaps), values
+    assert inputs == 5461
+
+
 # ------------------------------------------------------------- traces
 
 
@@ -248,6 +261,20 @@ def test_replay_rejects_nothing_but_applies_swaps_only():
     compares_only = [e for e in events if e.kind == "compare"]
     assert replay_trace([2, 3, 1], compares_only) == [2, 3, 1]
     assert replay_trace([2, 3, 1], events) == report.output
+
+
+def test_replay_rejects_positions_outside_the_array():
+    # Position 0 would otherwise wrap round to the last cell.
+    for i, j in [(0, 1), (1, 0), (4, 1), (2, 4)]:
+        with pytest.raises(ValueError, match="outside 1..3"):
+            replay_trace([1, 2, 3], [TraceEvent(0, "swap", i, j, "not_applicable")])
+    with pytest.raises(ValueError, match="outside 1..3"):
+        replay_trace([1, 2, 3], [TraceEvent(0, "compare", 0, 1, "not_applicable")])
+
+
+def test_replay_rejects_unknown_kinds():
+    with pytest.raises(ValueError, match="unknown kind 'shift'"):
+        replay_trace([1, 2, 3], [TraceEvent(0, "shift", 1, 2, "not_applicable")])
 
 
 # -------------------------------------------------------- stability

@@ -9,14 +9,17 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import sortlab.verify as verify
 from sortlab import (
     CHECK_IDS,
     InstabilityWitness,
     Tagged,
+    TraceRecorder,
     check_lemma1,
     check_pi_invariant,
     check_theorem_bounds,
     find_instability_witness,
+    icbics_sort,
     sort_tagged,
 )
 
@@ -86,6 +89,70 @@ def test_lemma1_rejects_duplicates():
 @given(distinct_lists)
 def test_property_lemma1(values):
     assert check_lemma1(values).passed
+
+
+# ------------------------------------------- mutated traces are caught
+
+
+def rewritten_sort(rewrite):
+    """``icbics_sort`` whose trace passes through ``rewrite`` (a function
+    from the full event list to the list to deliver) on its way to the
+    observer."""
+
+    def sort(values, observer=None):
+        recorder = TraceRecorder()
+        report = icbics_sort(values, recorder)
+        if observer is not None:
+            for event in rewrite(recorder.events):
+                observer(event)
+        return report
+
+    return sort
+
+
+def relabel_first_insertion_swap(events):
+    first = next(k for k, e in enumerate(events) if e.kind == "swap" and e.phase == "insertion")
+    return events[:first] + [events[first]._replace(phase="selection")] + events[first + 1 :]
+
+
+def drop_last_swap(events):
+    last = max(k for k, e in enumerate(events) if e.kind == "swap")
+    return events[:last] + events[last + 1 :]
+
+
+def test_lemma1_catches_a_mislabelled_swap(monkeypatch):
+    # [3, 1, 2]: no selection swaps; the first insertion swap (seq 4)
+    # turns [3, 1, 2] into [1, 3, 2] and removes one inversion.
+    monkeypatch.setattr(verify, "icbics_sort", rewritten_sort(relabel_first_insertion_swap))
+    verdict = check_lemma1([3, 1, 2])
+    assert not verdict.passed
+    assert verdict.counterexample == {
+        "input": [3, 1, 2],
+        "seq": 4,
+        "phase": "selection",
+        "expected": 1,
+        "observed": -1,
+    }
+
+
+def test_pi_catches_a_dropped_swap(monkeypatch):
+    # Without its last swap the run of [3, 1, 2] ends at [1, 3, 2].
+    monkeypatch.setattr(verify, "icbics_sort", rewritten_sort(drop_last_swap))
+    verdict = check_pi_invariant([3, 1, 2])
+    assert not verdict.passed
+    assert verdict.counterexample == {
+        "input": [3, 1, 2],
+        "outer": 3,
+        "expected": "non-decreasing prefix",
+        "observed": [1, 3, 2],
+    }
+
+
+def test_rewrites_leave_untouched_runs_passing(monkeypatch):
+    # The wrapper alone, delivering every event, changes no verdict.
+    monkeypatch.setattr(verify, "icbics_sort", rewritten_sort(list))
+    assert check_lemma1([3, 1, 2]).passed
+    assert check_pi_invariant([3, 1, 2]).passed
 
 
 # -------------------------------------------------------- swap bounds
