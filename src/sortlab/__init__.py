@@ -17,6 +17,7 @@ from .metrics import (
     max_inversions,
     swap_bounds,
     take_snapshot,
+    violated_bounds,
 )
 from .oracle import (
     OracleSummary,
@@ -88,5 +89,6 @@ __all__ = [
     "take_snapshot",
     "theorem2_extremal_inputs",
     "theorem4_extremal_input",
+    "violated_bounds",
     "__version__",
 ]

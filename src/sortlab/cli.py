@@ -20,10 +20,10 @@ import sys
 import time
 from dataclasses import asdict, dataclass
 from functools import lru_cache
-from itertools import product
+from itertools import chain, product
 from pathlib import Path
 from statistics import fmean
-from typing import Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .metrics import max_inversions
 from .oracle import (
@@ -48,6 +48,7 @@ from .sortcore import (
 )
 from .verify import (
     CHECK_IDS,
+    VerificationVerdict,
     check_lemma1,
     check_pi_invariant,
     check_theorem_bounds,
@@ -115,21 +116,33 @@ _TRACE_PHASES = {phase: phase for phase in (PHASE_SELECTION, PHASE_INSERTION, PH
 def load_trace(path: str) -> list[TraceEvent]:
     """Read a JSON-lines trace back into events.
 
-    Raises ``ValueError`` on a ``kind`` or ``phase`` that no sorter
-    emits.
+    Raises ``ValueError`` on a malformed event: a missing key, a
+    ``kind`` or ``phase`` that no sorter emits, a ``seq``, ``i`` or
+    ``j`` that is not an integer (``bool`` included), or a ``seq`` that
+    is negative or does not rise strictly.
     """
     events = []
+    last_seq = -1
     with open(path, "r", encoding="utf-8") as fh:
         for line in fh:
             line = line.strip()
             if not line:
                 continue
             raw = json.loads(line)
-            kind = _TRACE_KINDS.get(raw["kind"])
-            phase = _TRACE_PHASES.get(raw["phase"])
+            try:
+                seq, i, j = raw["seq"], raw["i"], raw["j"]
+                kind = _TRACE_KINDS.get(raw["kind"])
+                phase = _TRACE_PHASES.get(raw["phase"])
+            except (KeyError, TypeError) as err:
+                # A missing key, a line that is not an object, or an
+                # unhashable kind or phase.
+                raise ValueError(f"malformed trace event: {line}") from err
             if kind is None or phase is None:
                 raise ValueError(f"unknown kind or phase in trace event: {line}")
-            events.append(TraceEvent(raw["seq"], kind, raw["i"], raw["j"], phase))
+            if type(seq) is not int or type(i) is not int or type(j) is not int or seq <= last_seq:
+                raise ValueError(f"trace event needs integer seq, i and j, with seq rising: {line}")
+            last_seq = seq
+            events.append(TraceEvent(seq, kind, i, j, phase))
     return events
 
 
@@ -169,186 +182,153 @@ def cmd_sort(args: argparse.Namespace) -> int:
 
 # -------------------------------------------------------------- verify
 
-
-def _fail(counterexample: Optional[dict], examined: int) -> dict:
-    return {
-        "passed": False,
-        "counterexample": counterexample,
-        "details": {"inputs_examined": examined},
-    }
+# exhaustive_summary, cached for one verify run.
+Survey = Callable[[int], OracleSummary]
 
 
-def _dup_inputs(n_max: int):
+def _check_sorted(values: Sequence[int]) -> VerificationVerdict:
+    output = icbics_sort(values).output
+    if output == sorted(values):
+        return VerificationVerdict("correctness", True)
+    return VerificationVerdict("correctness", False, {"input": list(values), "output": list(output)})
+
+
+def _sweep(
+    check_id: str, check: Callable[[Sequence[int]], VerificationVerdict], inputs: Iterable[Sequence[int]]
+) -> VerificationVerdict:
+    """Run a per-input check on each input in turn, stopping at the first
+    failure; ``details`` counts the inputs examined, the failing one
+    included."""
+    examined = 0
+    for values in inputs:
+        examined += 1
+        verdict = check(values)
+        if not verdict.passed:
+            return VerificationVerdict(check_id, False, verdict.counterexample, {"inputs_examined": examined})
+    return VerificationVerdict(check_id, True, details={"inputs_examined": examined})
+
+
+def _permutations(n_min: int, n_max: int) -> Iterable[tuple[int, ...]]:
+    return chain.from_iterable(enumerate_permutations(n) for n in range(n_min, n_max + 1))
+
+
+def _verify_correctness(n_max: int, survey: Survey) -> VerificationVerdict:
     # Small inputs over a 3-value alphabet exercise duplicate handling,
     # which permutations cannot.
-    for n in range(1, min(n_max, 4) + 1):
-        yield from product((1, 2, 3), repeat=n)
+    duplicates = (product((1, 2, 3), repeat=n) for n in range(1, min(n_max, 4) + 1))
+    inputs = chain(_permutations(0, n_max), chain.from_iterable(duplicates))
+    return _sweep("correctness", _check_sorted, inputs)
 
 
-def _run_check_correctness(n_max: int) -> dict:
-    examined = 0
-    for n in range(0, n_max + 1):
-        for perm in enumerate_permutations(n):
-            examined += 1
-            report = icbics_sort(perm)
-            if report.output != sorted(perm):
-                return _fail({"input": list(perm), "output": list(report.output)}, examined)
-    for values in _dup_inputs(n_max):
-        examined += 1
-        report = icbics_sort(values)
-        if report.output != sorted(values):
-            return _fail({"input": list(values), "output": list(report.output)}, examined)
-    return {"passed": True, "counterexample": None, "details": {"inputs_examined": examined}}
-
-
-def _run_exhaustive_check(check, n_max: int) -> dict:
-    examined = 0
-    for n in range(1, n_max + 1):
-        for perm in enumerate_permutations(n):
-            examined += 1
-            verdict = check(perm)
-            if not verdict.passed:
-                return _fail(verdict.counterexample, examined)
-    return {"passed": True, "counterexample": None, "details": {"inputs_examined": examined}}
-
-
-def _run_check_pi(n_max: int) -> dict:
-    return _run_exhaustive_check(check_pi_invariant, n_max)
-
-
-def _run_check_lemma1(n_max: int) -> dict:
-    return _run_exhaustive_check(check_lemma1, n_max)
-
-
-@lru_cache(maxsize=None)
-def _summary(n: int) -> OracleSummary:
-    return exhaustive_summary(n)
-
-
-def _run_check_theorem2(n_max: int) -> dict:
+def _verify_theorem2(n_max: int, survey: Survey) -> VerificationVerdict:
     per_n = {}
     for n in range(2, n_max + 1):
-        summary = _summary(n)
+        summary = survey(n)
         expected = max_inversions(n) + 1
         if summary.max_swaps != expected:
-            return {
-                "passed": False,
-                "counterexample": {"n": n, "max_swaps": summary.max_swaps, "expected": expected},
-                "details": {"per_n": per_n},
-            }
+            counterexample = {"n": n, "max_swaps": summary.max_swaps, "expected": expected}
+            return VerificationVerdict("theorem2", False, counterexample, {"per_n": per_n})
         if n >= 3:
             wanted = sorted(theorem2_extremal_inputs(n))
             if summary.argmax_inputs != wanted:
-                return {
-                    "passed": False,
-                    "counterexample": {
-                        "n": n,
-                        "argmax_inputs": [list(p) for p in summary.argmax_inputs],
-                        "expected": [list(p) for p in wanted],
-                    },
-                    "details": {"per_n": per_n},
+                counterexample = {
+                    "n": n,
+                    "argmax_inputs": [list(p) for p in summary.argmax_inputs],
+                    "expected": [list(p) for p in wanted],
                 }
+                return VerificationVerdict("theorem2", False, counterexample, {"per_n": per_n})
         per_n[str(n)] = {
             "max_swaps": summary.max_swaps,
             "argmax_inputs": [list(p) for p in summary.argmax_inputs],
         }
-    return {"passed": True, "counterexample": None, "details": {"per_n": per_n}}
+    return VerificationVerdict("theorem2", True, details={"per_n": per_n})
 
 
-def _run_check_theorem3(n_max: int) -> dict:
+def _escaped_bound(check_id: str, summary: OracleSummary, examined: int) -> Optional[VerificationVerdict]:
+    # The failing verdict for the survey's first input whose swap count
+    # escaped this bound, or None; ``examined`` counts the inputs of the
+    # shorter lengths already surveyed.
+    first = summary.first_violations.get(check_id)
+    if first is None:
+        return None
+    ordinal, values = first
+    counterexample = check_theorem_bounds(values).counterexample
+    return VerificationVerdict(check_id, False, counterexample, {"inputs_examined": examined + ordinal})
+
+
+def _verify_theorem3(n_max: int, survey: Survey) -> VerificationVerdict:
     examined = 0
     for n in range(2, n_max + 1):
-        for perm in enumerate_permutations(n):
-            examined += 1
-            verdict = check_theorem_bounds(perm)
-            if not verdict.passed and "theorem3" in verdict.counterexample["violated"]:
-                return _fail(verdict.counterexample, examined)
+        summary = survey(n)
+        escaped = _escaped_bound("theorem3", summary, examined)
+        if escaped is not None:
+            return escaped
+        examined += summary.inputs_examined
         # The bound is tight exactly at the already-sorted input.
         sorted_cost = icbics_sort(range(1, n + 1)).swaps
         if sorted_cost != 2 * (n - 1):
-            return {
-                "passed": False,
-                "counterexample": {
-                    "input": list(range(1, n + 1)),
-                    "swaps": sorted_cost,
-                    "expected": 2 * (n - 1),
-                },
-                "details": {"inputs_examined": examined},
-            }
-    return {
-        "passed": True,
-        "counterexample": None,
-        "details": {"inputs_examined": examined, "edge_case": "sorted input costs exactly 2(n-1) swaps at every n checked"},
-    }
+            counterexample = {"input": list(range(1, n + 1)), "swaps": sorted_cost, "expected": 2 * (n - 1)}
+            return VerificationVerdict("theorem3", False, counterexample, {"inputs_examined": examined})
+    details = {"inputs_examined": examined, "edge_case": "sorted input costs exactly 2(n-1) swaps at every n checked"}
+    return VerificationVerdict("theorem3", True, details=details)
 
 
-def _run_check_theorem4(n_max: int) -> dict:
+def _verify_theorem4(n_max: int, survey: Survey) -> VerificationVerdict:
     per_n = {}
     examined = 0
     for n in range(2, n_max + 1):
-        for perm in enumerate_permutations(n):
-            examined += 1
-            verdict = check_theorem_bounds(perm)
-            if not verdict.passed and "theorem4" in verdict.counterexample["violated"]:
-                return _fail(verdict.counterexample, examined)
-        summary = _summary(n)
+        summary = survey(n)
+        escaped = _escaped_bound("theorem4", summary, examined)
+        if escaped is not None:
+            return escaped
+        examined += summary.inputs_examined
         wanted = [theorem4_extremal_input(n)]
         if summary.min_swaps != n - 1 or summary.argmin_inputs != wanted:
-            return {
-                "passed": False,
-                "counterexample": {
-                    "n": n,
-                    "min_swaps": summary.min_swaps,
-                    "argmin_inputs": [list(p) for p in summary.argmin_inputs],
-                    "expected_min": n - 1,
-                    "expected_argmin": [list(p) for p in wanted],
-                },
-                "details": {"per_n": per_n},
+            counterexample = {
+                "n": n,
+                "min_swaps": summary.min_swaps,
+                "argmin_inputs": [list(p) for p in summary.argmin_inputs],
+                "expected_min": n - 1,
+                "expected_argmin": [list(p) for p in wanted],
             }
+            return VerificationVerdict("theorem4", False, counterexample, {"per_n": per_n})
         per_n[str(n)] = {
             "min_swaps": summary.min_swaps,
             "argmin_inputs": [list(p) for p in summary.argmin_inputs],
         }
-    return {
-        "passed": True,
-        "counterexample": None,
-        "details": {"per_n": per_n, "inputs_examined": examined},
-    }
+    return VerificationVerdict("theorem4", True, details={"per_n": per_n, "inputs_examined": examined})
 
 
-def _run_check_instability(n_max: int) -> dict:
+def _verify_instability(n_max: int, survey: Survey) -> VerificationVerdict:
     # Witnesses need duplicate keys, and a 3-element search already
     # succeeds, so there is no point scanning past length 3.
     limit = max(2, min(n_max, 3))
     witness = find_instability_witness(limit)
     if witness is None:
-        return {
-            "passed": False,
-            "counterexample": {"searched_up_to": limit, "witness": None},
-            "details": {"searched_up_to": limit},
-        }
-    return {
-        "passed": True,
-        "counterexample": None,
-        "details": {
-            "searched_up_to": limit,
-            "witness": {
-                "input": [[key, tag] for key, tag in witness.input],
-                "output": [[key, tag] for key, tag in witness.output],
-                "violated_pair": list(witness.violated_pair),
-            },
+        counterexample = {"searched_up_to": limit, "witness": None}
+        return VerificationVerdict("instability", False, counterexample, {"searched_up_to": limit})
+    details = {
+        "searched_up_to": limit,
+        "witness": {
+            "input": [[key, tag] for key, tag in witness.input],
+            "output": [[key, tag] for key, tag in witness.output],
+            "violated_pair": list(witness.violated_pair),
         },
     }
+    return VerificationVerdict("instability", True, details=details)
 
 
-_RUNNERS = {
-    "correctness": _run_check_correctness,
-    "pi": _run_check_pi,
-    "lemma1": _run_check_lemma1,
-    "theorem2": _run_check_theorem2,
-    "theorem3": _run_check_theorem3,
-    "theorem4": _run_check_theorem4,
-    "instability": _run_check_instability,
+# One entry per check id: called with --n-max and the run's cached
+# exhaustive survey.  The per-input checks are looked up when the entry
+# runs, not bound here, so that a replaced module attribute takes effect.
+_CHECKS = {
+    "correctness": _verify_correctness,
+    "pi": lambda n_max, survey: _sweep("pi", check_pi_invariant, _permutations(1, n_max)),
+    "lemma1": lambda n_max, survey: _sweep("lemma1", check_lemma1, _permutations(1, n_max)),
+    "theorem2": _verify_theorem2,
+    "theorem3": _verify_theorem3,
+    "theorem4": _verify_theorem4,
+    "instability": _verify_instability,
 }
 
 
@@ -363,12 +343,18 @@ def cmd_verify(args: argparse.Namespace) -> int:
         print(f"sortlab verify: --samples must be >= 0, got {args.samples}", file=sys.stderr)
         return 2
     selected = args.checks if args.checks is not None else list(CHECK_IDS)
+    # theorem2-4 read one exhaustive survey per n, made once per run.
+    survey = lru_cache(maxsize=None)(exhaustive_summary)
     results = {}
     all_passed = True
     for check_id in selected:
-        outcome = _RUNNERS[check_id](args.n_max)
-        results[check_id] = outcome
-        all_passed = all_passed and outcome["passed"]
+        verdict = _CHECKS[check_id](args.n_max, survey)
+        results[check_id] = {
+            "passed": verdict.passed,
+            "counterexample": verdict.counterexample,
+            "details": verdict.details,
+        }
+        all_passed = all_passed and verdict.passed
     payload = {"n_max": args.n_max, "checks": results}
     if args.samples >= 1:
         suite = random_suite(RANDOM_SUITE_N, args.samples, args.seed)
@@ -561,7 +547,8 @@ def build_parser() -> argparse.ArgumentParser:
         dest="n_max",
         type=int,
         default=7,
-        help="exhaustive checks cover every permutation up to this length, 2..8 (default: %(default)s)",
+        help=f"exhaustive checks cover every permutation up to this length, 1..{EXHAUSTIVE_CAP} "
+        "(default: %(default)s)",
     )
     p_verify.add_argument(
         "--samples",

@@ -89,3 +89,20 @@ def swap_bounds(n: int, inversions: int) -> tuple[int, int, int]:
     upper_adaptive = max(0, inversions + 2 * (n - 1))
     lower = max(0, n - 1)
     return upper_total, upper_adaptive, lower
+
+
+def violated_bounds(n: int, inversions: int, swaps: int) -> list[str]:
+    """Ids of the :func:`swap_bounds` that ``swaps`` escapes, in order:
+    ``"theorem2"`` (above ``n(n-1)/2 + 1``), ``"theorem3"`` (above
+    ``I + 2(n-1)``) and ``"theorem4"`` (below ``n - 1``).  Empty when the
+    count lies inside all three.
+    """
+    upper_total, upper_adaptive, lower = swap_bounds(n, inversions)
+    violated = []
+    if swaps > upper_total:
+        violated.append("theorem2")
+    if swaps > upper_adaptive:
+        violated.append("theorem3")
+    if swaps < lower:
+        violated.append("theorem4")
+    return violated

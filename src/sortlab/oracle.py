@@ -11,11 +11,11 @@ sizes where enumeration is impossible.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import permutations
 from typing import Iterator, Optional
 
-from .metrics import count_inversions, swap_bounds
+from .metrics import count_inversions, violated_bounds
 from .sortcore import icbics_sort
 
 ENUMERATION_CAP = 10
@@ -31,7 +31,11 @@ class OracleSummary:
     and in lexicographic order.  ``bound_violations`` counts inputs
     whose swap count escaped any closed-form bound; it must be 0.
     ``mode`` is "exhaustive" or "random"; ``seed`` is set in random mode
-    so a summary can be reproduced.
+    so a summary can be reproduced.  ``first_violations`` maps the id of
+    each bound that some input escaped (see
+    :func:`~sortlab.metrics.violated_bounds`) to the 1-based ordinal and
+    the input of the first such input, in examination order; it is empty
+    when ``bound_violations`` is 0.
     """
 
     n: int
@@ -43,6 +47,7 @@ class OracleSummary:
     bound_violations: int
     mode: str = "exhaustive"
     seed: Optional[int] = None
+    first_violations: dict[str, tuple[int, tuple[int, ...]]] = field(default_factory=dict)
 
 
 def enumerate_permutations(n: int) -> Iterator[tuple[int, ...]]:
@@ -75,11 +80,6 @@ def theorem4_extremal_input(n: int) -> tuple[int, ...]:
     return (n,) + tuple(range(1, n))
 
 
-def _within_bounds(n: int, inversions: int, swaps: int) -> bool:
-    upper_total, upper_adaptive, lower = swap_bounds(n, inversions)
-    return lower <= swaps <= min(upper_total, upper_adaptive)
-
-
 def _summarize(n: int, inputs: Iterator[tuple[int, ...]], mode: str, seed: Optional[int]) -> OracleSummary:
     examined = 0
     violations = 0
@@ -87,11 +87,15 @@ def _summarize(n: int, inputs: Iterator[tuple[int, ...]], mode: str, seed: Optio
     min_swaps = None
     argmax: set[tuple[int, ...]] = set()
     argmin: set[tuple[int, ...]] = set()
+    first_violations: dict[str, tuple[int, tuple[int, ...]]] = {}
     for perm in inputs:
         examined += 1
         swaps = icbics_sort(perm).swaps
-        if not _within_bounds(n, count_inversions(perm), swaps):
+        violated = violated_bounds(n, count_inversions(perm), swaps)
+        if violated:
             violations += 1
+            for bound_id in violated:
+                first_violations.setdefault(bound_id, (examined, perm))
         if swaps > max_swaps:
             max_swaps = swaps
             argmax = {perm}
@@ -113,6 +117,7 @@ def _summarize(n: int, inputs: Iterator[tuple[int, ...]], mode: str, seed: Optio
         bound_violations=violations,
         mode=mode,
         seed=seed,
+        first_violations=first_violations,
     )
 
 

@@ -14,7 +14,7 @@ is always emitted immediately after the comparison that triggered it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple, Sequence, TypeVar
 
 Key = TypeVar("Key")
@@ -219,37 +219,21 @@ def icbics_desc_ineq(values: Sequence[Key], observer: Observer | None = None) ->
 def icbics_desc_loopswap(values: Sequence[Key], observer: Observer | None = None) -> SortReport:
     """Descending variant of ``icbics_sort`` obtained by exchanging the
     two loops (outer ``j``, inner ``i``) while keeping the ``A[i] < A[j]``
-    condition.  By the i/j symmetry this sorts non-increasing and
-    matches ``icbics_desc_ineq``'s output and swap count on every
-    input, duplicates included.
+    condition.  Renaming the loop indices turns this into
+    ``icbics_desc_ineq`` exactly, so it runs that kernel: the same
+    output, comparisons and swaps on every input, duplicates included.
 
     Trace events still report ``(i, j)`` as the comparison operands, so
-    here ``j`` is the outer-loop index.
+    here ``j`` is the outer-loop index: each of ``icbics_desc_ineq``'s
+    events is relayed with its ``i`` and ``j`` exchanged.
     """
-    a = list(values)
-    n = len(a)
-    obs = observer
-    comparisons = 0
-    swaps = 0
-    seq = 0
-    for j in range(n):
-        jp = j + 1
-        aj = a[j]
-        for i in range(n):
-            ai = a[i]
-            comparisons += 1
-            if obs is not None:
-                obs(TraceEvent(seq, KIND_COMPARE, i + 1, jp, PHASE_NA))
-                seq += 1
-            if ai < aj:
-                a[i] = aj
-                a[j] = ai
-                aj = ai
-                swaps += 1
-                if obs is not None:
-                    obs(TraceEvent(seq, KIND_SWAP, i + 1, jp, PHASE_NA))
-                    seq += 1
-    return SortReport("icbics-desc-loops", n, comparisons, swaps, a)
+    relay = None
+    if observer is not None:
+
+        def relay(event: TraceEvent) -> None:
+            observer(TraceEvent(event.seq, event.kind, event.j, event.i, event.phase))
+
+    return replace(icbics_desc_ineq(values, relay), algorithm="icbics-desc-loops")
 
 
 def std_insertion_sort(values: Sequence[Key], observer: Observer | None = None) -> SortReport:

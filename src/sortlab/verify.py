@@ -5,7 +5,9 @@ property of the run: the sorted-prefix invariant after every outer
 pass, the +1/-1 inversion delta of every swap, the closed-form swap
 bounds, or (by search over tagged inputs) the fact that the sort is
 not stable.  Checks return a :class:`VerificationVerdict`; a failing
-verdict always carries a replayable counterexample.
+verdict always carries a replayable counterexample.  ``sortlab verify``
+reports each check's whole sweep as one verdict too, with what the sweep
+covered (inputs examined, per-n extremes) in its ``details``.
 
 Checks that assume distinct elements raise ``ValueError`` when handed
 duplicates instead of producing an undefined verdict.
@@ -14,11 +16,11 @@ duplicates instead of producing an undefined verdict.
 from __future__ import annotations
 
 import string
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product
 from typing import Optional, Sequence
 
-from .metrics import count_inversions, inversion_delta, max_inversions
+from .metrics import count_inversions, inversion_delta, violated_bounds
 from .sortcore import (
     KIND_SWAP,
     PHASE_SELECTION,
@@ -31,18 +33,21 @@ CHECK_IDS = ("correctness", "pi", "lemma1", "theorem2", "theorem3", "theorem4", 
 
 @dataclass(frozen=True)
 class VerificationVerdict:
-    """Outcome of one named check on one input.
+    """Outcome of one named check, on one input or over a sweep.
 
     ``counterexample`` is None on a pass; on a failure it is a
     JSON-ready dict holding at least the input plus the location of the
     violation (failing outer index or event seq) and the expected vs
     observed values, enough to reproduce the failure by re-running the
-    same check.
+    same check.  ``details`` holds JSON-ready facts about the run, such
+    as how many inputs a sweep examined; the per-input checks here leave
+    it empty, and ``sortlab verify`` prints it beside the verdict.
     """
 
     check_id: str
     passed: bool
     counterexample: Optional[dict] = None
+    details: dict = field(default_factory=dict)
 
 
 def _require_distinct(values: Sequence, check_id: str) -> None:
@@ -166,14 +171,7 @@ def check_theorem_bounds(values: Sequence[int]) -> VerificationVerdict:
         raise ValueError(f"theorem bounds need n >= 2, got n={n}")
     inv = count_inversions(values)
     swaps = icbics_sort(values).swaps
-
-    violated = []
-    if swaps > max_inversions(n) + 1:
-        violated.append("theorem2")
-    if swaps > inv + 2 * (n - 1):
-        violated.append("theorem3")
-    if swaps < n - 1:
-        violated.append("theorem4")
+    violated = violated_bounds(n, inv, swaps)
     if violated:
         return VerificationVerdict(
             "theorem_bounds",

@@ -8,13 +8,18 @@ exactly as a shell would see it: 0 success, 1 failed verification,
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import json
 from dataclasses import asdict
+from pathlib import Path
 
 import pytest
 
 import sortlab.cli as cli
+import sortlab.oracle
+import sortlab.sortcore
+import sortlab.verify
 from sortlab import VerificationVerdict, replay_trace
 from sortlab.cli import (
     BENCH_COLUMNS,
@@ -26,6 +31,7 @@ from sortlab.cli import (
     summarize_bench,
     write_bench_csv,
 )
+from sortlab.oracle import EXHAUSTIVE_CAP
 from sortlab.sortcore import KIND_COMPARE, KIND_SWAP, PHASE_INSERTION, PHASE_SELECTION
 
 CSV_HEADER = "algorithm,n,rep,seed,comparisons,swaps,wall_ns"
@@ -163,6 +169,28 @@ def test_load_trace_rejects_unknown_kind_or_phase(tmp_path, line):
         load_trace(str(trace_path))
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"seq": 0, "kind": ["swap"], "i": 1, "j": 2, "phase": "selection"}',
+        '{"seq": "x", "kind": "swap", "i": "1", "j": 2, "phase": "selection"}',
+        '{"seq": 0, "kind": "swap", "i": 1, "j": 2.0, "phase": "selection"}',
+        '{"seq": 0, "kind": "swap", "i": true, "j": 2, "phase": "selection"}',
+        '{"kind": "swap", "i": 1, "j": 2, "phase": "selection"}',
+        '{"seq": 0, "kind": "swap", "i": 1, "j": 2}',
+        '{"seq": -1, "kind": "swap", "i": 1, "j": 2, "phase": "selection"}',
+        '{"seq": 1, "kind": "compare", "i": 1, "j": 2, "phase": "selection"}\n'
+        '{"seq": 1, "kind": "swap", "i": 1, "j": 2, "phase": "selection"}',
+        "[0, 1, 2]",
+    ],
+)
+def test_load_trace_rejects_malformed_events(tmp_path, text):
+    trace_path = tmp_path / "trace.jsonl"
+    trace_path.write_text(text + "\n")
+    with pytest.raises(ValueError):
+        load_trace(str(trace_path))
+
+
 def test_sort_unknown_algorithm_is_usage_error(capsys):
     rc, _, err = run(capsys, "sort", "--algo", "quicksort", "--input", "1")
     assert rc == 2
@@ -205,6 +233,11 @@ def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     out = capsys.readouterr().out
     assert "sort" in out and "verify" in out and "bench" in out
+
+
+def test_verify_help_gives_the_accepted_n_max_range(capsys):
+    assert main(["verify", "--help"]) == 0
+    assert f"1..{EXHAUSTIVE_CAP}" in capsys.readouterr().out
 
 
 # ------------------------------------------------------------- verify
@@ -295,6 +328,69 @@ def test_verify_failing_check_exits_one(capsys, monkeypatch):
     assert payload["all_passed"] is False
     assert payload["checks"]["pi"]["passed"] is False
     assert payload["checks"]["pi"]["counterexample"] == {"input": [1], "reason": "forced"}
+
+
+def test_verify_output_matches_golden_file(capsys):
+    # Generated with the per-check runners that the check registry
+    # replaced; the printed JSON must not change by a byte.
+    golden = Path(__file__).parent / "golden" / "verify_n6_samples20_seed1.json"
+    rc, out, _ = run(capsys, "verify", "--n-max", "6", "--samples", "20", "--seed", "1")
+    assert rc == 0
+    assert out == golden.read_text(encoding="utf-8")
+
+
+def skew_swaps(monkeypatch, target, delta):
+    """Make icbics_sort report ``delta`` more swaps on input ``target``,
+    wherever the checks and the survey call it."""
+    real = sortlab.sortcore.icbics_sort
+
+    def skewed(values, observer=None):
+        report = real(values, observer)
+        if tuple(values) == target:
+            return dataclasses.replace(report, swaps=report.swaps + delta)
+        return report
+
+    for module in (sortlab.oracle, sortlab.verify, cli):
+        monkeypatch.setattr(module, "icbics_sort", skewed)
+
+
+def verify_theorems(capsys):
+    rc, out, _ = run(capsys, "verify", "--n-max", "5", "--checks", "theorem2,theorem3,theorem4")
+    return rc, json.loads(out)["checks"]
+
+
+def test_verify_extra_swap_breaks_theorem2_and_theorem3(capsys, monkeypatch):
+    skew_swaps(monkeypatch, (1, 2, 3, 4), +1)
+    rc, checks = verify_theorems(capsys)
+    assert rc == 1
+    assert checks["theorem2"]["passed"] is False
+    assert checks["theorem2"]["counterexample"]["argmax_inputs"] == [[1, 2, 3, 4], [2, 3, 4, 1], [3, 4, 2, 1]]
+    assert checks["theorem3"]["passed"] is False
+    assert checks["theorem3"]["counterexample"] == {
+        "input": [1, 2, 3, 4],
+        "inversions": 0,
+        "swaps": 7,
+        "violated": ["theorem3"],
+    }
+    assert checks["theorem3"]["details"] == {"inputs_examined": 9}
+    assert checks["theorem4"]["passed"] is True
+    assert checks["theorem4"]["details"]["inputs_examined"] == 152
+
+
+def test_verify_lost_swap_breaks_theorem4(capsys, monkeypatch):
+    skew_swaps(monkeypatch, (4, 1, 2, 3), -1)
+    rc, checks = verify_theorems(capsys)
+    assert rc == 1
+    assert checks["theorem2"]["passed"] is True
+    assert checks["theorem3"]["passed"] is True
+    assert checks["theorem4"]["passed"] is False
+    assert checks["theorem4"]["counterexample"] == {
+        "input": [4, 1, 2, 3],
+        "inversions": 3,
+        "swaps": 2,
+        "violated": ["theorem4"],
+    }
+    assert checks["theorem4"]["details"] == {"inputs_examined": 27}
 
 
 # -------------------------------------------------------------- bench

@@ -17,6 +17,7 @@ from sortlab import (
     max_inversions,
     swap_bounds,
     take_snapshot,
+    violated_bounds,
 )
 
 
@@ -74,6 +75,29 @@ def test_max_attained_only_by_strictly_decreasing():
 )
 def test_swap_bounds_examples(n, inversions, expected):
     assert swap_bounds(n, inversions) == expected
+
+
+@pytest.mark.parametrize(
+    "n, inversions, swaps, expected",
+    [
+        (4, 0, 6, []),
+        (4, 0, 7, ["theorem3"]),
+        (4, 3, 2, ["theorem4"]),
+        (3, 0, 5, ["theorem2", "theorem3"]),
+        (2, 1, 0, ["theorem4"]),
+    ],
+)
+def test_violated_bounds_examples(n, inversions, swaps, expected):
+    assert violated_bounds(n, inversions, swaps) == expected
+
+
+def test_violated_bounds_is_empty_exactly_inside_the_envelope():
+    for n in range(2, 7):
+        for inversions in range(max_inversions(n) + 1):
+            upper_total, upper_adaptive, lower = swap_bounds(n, inversions)
+            for swaps in range(upper_total + 3):
+                inside = lower <= swaps <= min(upper_total, upper_adaptive)
+                assert (violated_bounds(n, inversions, swaps) == []) == inside
 
 
 def test_take_snapshot():

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import dataclasses
 from math import factorial
 
 import pytest
 
+import sortlab.oracle
 from sortlab import (
     enumerate_permutations,
     exhaustive_summary,
@@ -80,6 +82,27 @@ def test_exhaustive_summary_matches_closed_forms(n):
     assert summary.min_swaps == n - 1
     assert summary.argmin_inputs == [theorem4_extremal_input(n)]
     assert summary.bound_violations == 0
+
+
+def test_exhaustive_summary_records_no_violations():
+    assert exhaustive_summary(6).first_violations == {}
+
+
+def test_exhaustive_summary_records_first_violation_per_bound(monkeypatch):
+    # Reported swap counts by input: one above the sorted input's
+    # 2(n-1), and two below n - 1.  Only the first escape of each bound
+    # is recorded.
+    real = sortlab.oracle.icbics_sort
+    forged = {(1, 2, 3, 4): 7, (4, 1, 2, 3): 2, (4, 3, 1, 2): 0}
+
+    def skewed(values, observer=None):
+        report = real(values, observer)
+        return dataclasses.replace(report, swaps=forged.get(tuple(values), report.swaps))
+
+    monkeypatch.setattr(sortlab.oracle, "icbics_sort", skewed)
+    summary = exhaustive_summary(4)
+    assert summary.bound_violations == 3
+    assert summary.first_violations == {"theorem3": (1, (1, 2, 3, 4)), "theorem4": (19, (4, 1, 2, 3))}
 
 
 def test_exhaustive_summary_guards():

@@ -232,6 +232,16 @@ def test_trace_protocol(name):
         assert replay_trace(values, events) == report.output
 
 
+def test_loopswap_events_name_the_outer_index_j():
+    # With the loops exchanged, j is the outer index: it never falls
+    # during a run and takes each value for n consecutive comparisons.
+    for values in ([3, 1, 2], [2, 2, 1, 3], [5, 1, 4, 2, 3]):
+        n = len(values)
+        _, events = collect("icbics-desc-loops", values)
+        compares = [(e.i, e.j) for e in events if e.kind == "compare"]
+        assert compares == [(i, j) for j in range(1, n + 1) for i in range(1, n + 1)]
+
+
 def test_icbics_phases():
     report, events = collect("icbics", [4, 1, 3, 2])
     assert report.output == [1, 2, 3, 4]
