@@ -11,12 +11,10 @@ a CLI over all of it.
 from __future__ import annotations
 
 from .metrics import (
-    InversionSnapshot,
     count_inversions,
     inversion_delta,
     max_inversions,
     swap_bounds,
-    take_snapshot,
     violated_bounds,
 )
 from .oracle import (
@@ -60,7 +58,6 @@ __all__ = [
     "AlgorithmInfo",
     "CHECK_IDS",
     "InstabilityWitness",
-    "InversionSnapshot",
     "OracleSummary",
     "SortReport",
     "Tagged",
@@ -86,7 +83,6 @@ __all__ = [
     "sort_tagged",
     "std_insertion_sort",
     "swap_bounds",
-    "take_snapshot",
     "theorem2_extremal_inputs",
     "theorem4_extremal_input",
     "violated_bounds",

@@ -598,3 +598,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 def entry() -> None:
     sys.exit(main(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    entry()

@@ -8,7 +8,6 @@ count of its input.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 
@@ -58,19 +57,6 @@ def max_inversions(n: int) -> int:
     if n < 0:
         raise ValueError(f"length must be non-negative, got {n}")
     return n * (n - 1) // 2
-
-
-@dataclass(frozen=True)
-class InversionSnapshot:
-    """Inversion count of an array next to the maximum possible."""
-
-    inversions: int
-    max_inversions: int
-
-
-def take_snapshot(a: Sequence) -> InversionSnapshot:
-    """Measure ``a``: its inversion count and the length-n maximum."""
-    return InversionSnapshot(count_inversions(a), max_inversions(len(a)))
 
 
 def swap_bounds(n: int, inversions: int) -> tuple[int, int, int]:

@@ -10,6 +10,12 @@ internally, but all trace events carry 1-based positions (list index
 ``p`` is reported as position ``p + 1``).  A swap event for positions
 ``(i, j)`` means "exchange the cells at 1-based positions i and j" and
 is always emitted immediately after the comparison that triggered it.
+
+The double-loop sorters share one kernel per swap condition:
+``_swap_when_less`` runs ``icbics_sort`` and ``improved_sort``;
+``_swap_when_greater`` runs ``exchange_sort`` and ``icbics_desc_ineq``,
+which ``icbics_desc_loopswap`` relays.  ``std_insertion_sort`` stops
+early, so it keeps its own loop.
 """
 
 from __future__ import annotations
@@ -84,28 +90,20 @@ class TraceRecorder:
         self.events.append(event)
 
 
-def icbics_sort(values: Sequence[Key], observer: Observer | None = None) -> SortReport:
-    """Full double-loop sort: swap whenever ``A[i] < A[j]``.
-
-    Both loops run over the whole array, the self-comparison ``i == j``
-    included, so the run makes exactly ``n * n`` comparisons no matter
-    the input.  The comparison looks backwards for an ascending sort,
-    yet the output is non-decreasing: the first outer pass drags the
-    maximum into ``A[1]`` (selection phase), and each later pass inserts
-    ``A[i]`` into the sorted prefix by repeated swaps (insertion phase).
-    Equal keys are never swapped (strict ``<``).
-    """
+def _swap_when_less(values: Sequence[Key], obs: Observer | None, algorithm: str, square: bool) -> SortReport:
+    """Swap when ``A[i] < A[j]``; ``square`` sets each outer pass's
+    start, inner range and phase, and is never read per comparison."""
     a = list(values)
     n = len(a)
-    obs = observer
     comparisons = 0
     swaps = 0
     seq = 0
-    for i in range(n):
-        phase = PHASE_SELECTION if i == 0 else PHASE_INSERTION
+    for i in range(0 if square else 1, n):
+        inner = range(n) if square else range(i)
+        phase = (PHASE_SELECTION if i == 0 else PHASE_INSERTION) if square else PHASE_NA
         ip = i + 1
         ai = a[i]
-        for j in range(n):
+        for j in inner:
             aj = a[j]
             comparisons += 1
             if obs is not None:
@@ -119,23 +117,22 @@ def icbics_sort(values: Sequence[Key], observer: Observer | None = None) -> Sort
                 if obs is not None:
                     obs(TraceEvent(seq, KIND_SWAP, ip, j + 1, phase))
                     seq += 1
-    return SortReport("icbics", n, comparisons, swaps, a)
+    return SortReport(algorithm, n, comparisons, swaps, a)
 
 
-def exchange_sort(values: Sequence[Key], observer: Observer | None = None) -> SortReport:
-    """Classical exchange sort: ``j`` runs from ``i + 1`` to ``n``, swap
-    when ``A[i] > A[j]``.  Makes exactly ``n (n - 1) / 2`` comparisons.
-    """
+def _swap_when_greater(values: Sequence[Key], obs: Observer | None, algorithm: str, square: bool) -> SortReport:
+    """Swap when ``A[i] > A[j]``, tested as ``A[j] < A[i]`` because keys
+    define only ``<``; ``square`` sets each outer pass's inner range."""
     a = list(values)
     n = len(a)
-    obs = observer
     comparisons = 0
     swaps = 0
     seq = 0
     for i in range(n):
+        inner = range(n) if square else range(i + 1, n)
         ip = i + 1
         ai = a[i]
-        for j in range(i + 1, n):
+        for j in inner:
             aj = a[j]
             comparisons += 1
             if obs is not None:
@@ -149,7 +146,28 @@ def exchange_sort(values: Sequence[Key], observer: Observer | None = None) -> So
                 if obs is not None:
                     obs(TraceEvent(seq, KIND_SWAP, ip, j + 1, PHASE_NA))
                     seq += 1
-    return SortReport("exchange", n, comparisons, swaps, a)
+    return SortReport(algorithm, n, comparisons, swaps, a)
+
+
+def icbics_sort(values: Sequence[Key], observer: Observer | None = None) -> SortReport:
+    """Full double-loop sort: swap whenever ``A[i] < A[j]``.
+
+    Both loops run over the whole array, the self-comparison ``i == j``
+    included, so the run makes exactly ``n * n`` comparisons no matter
+    the input.  The comparison looks backwards for an ascending sort,
+    yet the output is non-decreasing: the first outer pass drags the
+    maximum into ``A[1]`` (selection phase), and each later pass inserts
+    ``A[i]`` into the sorted prefix by repeated swaps (insertion phase).
+    Equal keys are never swapped (strict ``<``).
+    """
+    return _swap_when_less(values, observer, "icbics", square=True)
+
+
+def exchange_sort(values: Sequence[Key], observer: Observer | None = None) -> SortReport:
+    """Classical exchange sort: ``j`` runs from ``i + 1`` to ``n``, swap
+    when ``A[i] > A[j]``.  Makes exactly ``n (n - 1) / 2`` comparisons.
+    """
+    return _swap_when_greater(values, observer, "exchange", square=False)
 
 
 def improved_sort(values: Sequence[Key], observer: Observer | None = None) -> SortReport:
@@ -159,30 +177,7 @@ def improved_sort(values: Sequence[Key], observer: Observer | None = None) -> So
     comparisons and never more swaps.  It is insertion sort that scans
     the sorted prefix from the front and moves elements by swapping.
     """
-    a = list(values)
-    n = len(a)
-    obs = observer
-    comparisons = 0
-    swaps = 0
-    seq = 0
-    for i in range(1, n):
-        ip = i + 1
-        ai = a[i]
-        for j in range(i):
-            aj = a[j]
-            comparisons += 1
-            if obs is not None:
-                obs(TraceEvent(seq, KIND_COMPARE, ip, j + 1, PHASE_NA))
-                seq += 1
-            if ai < aj:
-                a[i] = aj
-                a[j] = ai
-                ai = aj
-                swaps += 1
-                if obs is not None:
-                    obs(TraceEvent(seq, KIND_SWAP, ip, j + 1, PHASE_NA))
-                    seq += 1
-    return SortReport("improved", n, comparisons, swaps, a)
+    return _swap_when_less(values, observer, "improved", square=False)
 
 
 def icbics_desc_ineq(values: Sequence[Key], observer: Observer | None = None) -> SortReport:
@@ -190,30 +185,7 @@ def icbics_desc_ineq(values: Sequence[Key], observer: Observer | None = None) ->
     reversed: swap whenever ``A[i] > A[j]``.  Output is non-increasing;
     still exactly ``n * n`` comparisons.
     """
-    a = list(values)
-    n = len(a)
-    obs = observer
-    comparisons = 0
-    swaps = 0
-    seq = 0
-    for i in range(n):
-        ip = i + 1
-        ai = a[i]
-        for j in range(n):
-            aj = a[j]
-            comparisons += 1
-            if obs is not None:
-                obs(TraceEvent(seq, KIND_COMPARE, ip, j + 1, PHASE_NA))
-                seq += 1
-            if aj < ai:
-                a[i] = aj
-                a[j] = ai
-                ai = aj
-                swaps += 1
-                if obs is not None:
-                    obs(TraceEvent(seq, KIND_SWAP, ip, j + 1, PHASE_NA))
-                    seq += 1
-    return SortReport("icbics-desc-ineq", n, comparisons, swaps, a)
+    return _swap_when_greater(values, observer, "icbics-desc-ineq", square=True)
 
 
 def icbics_desc_loopswap(values: Sequence[Key], observer: Observer | None = None) -> SortReport:
@@ -304,17 +276,15 @@ def replay_trace(values: Sequence[Key], events: Sequence[TraceEvent]) -> list:
 class AlgorithmInfo:
     """Registry entry: callable plus the facts the CLI needs."""
 
-    name: str
     func: Callable[..., SortReport]
     descending: bool
-    swap_label: str = "swaps"
 
 
 ALGORITHMS: dict[str, AlgorithmInfo] = {
-    "icbics": AlgorithmInfo("icbics", icbics_sort, descending=False),
-    "exchange": AlgorithmInfo("exchange", exchange_sort, descending=False),
-    "improved": AlgorithmInfo("improved", improved_sort, descending=False),
-    "icbics-desc-ineq": AlgorithmInfo("icbics-desc-ineq", icbics_desc_ineq, descending=True),
-    "icbics-desc-loops": AlgorithmInfo("icbics-desc-loops", icbics_desc_loopswap, descending=True),
-    "std-insertion": AlgorithmInfo("std-insertion", std_insertion_sort, descending=False, swap_label="moves"),
+    "icbics": AlgorithmInfo(icbics_sort, descending=False),
+    "exchange": AlgorithmInfo(exchange_sort, descending=False),
+    "improved": AlgorithmInfo(improved_sort, descending=False),
+    "icbics-desc-ineq": AlgorithmInfo(icbics_desc_ineq, descending=True),
+    "icbics-desc-loops": AlgorithmInfo(icbics_desc_loopswap, descending=True),
+    "std-insertion": AlgorithmInfo(std_insertion_sort, descending=False),
 }

@@ -11,6 +11,9 @@ import csv
 import dataclasses
 import io
 import json
+import os
+import subprocess
+import sys
 from dataclasses import asdict
 from pathlib import Path
 
@@ -238,6 +241,24 @@ def test_help_exits_zero(capsys):
 def test_verify_help_gives_the_accepted_n_max_range(capsys):
     assert main(["verify", "--help"]) == 0
     assert f"1..{EXHAUSTIVE_CAP}" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("module", ["sortlab", "sortlab.cli"])
+def test_python_dash_m_runs_verify(module):
+    # A module that only imports exits 0 with no output: a silent pass.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", module, "verify", "--n-max", "2", "--checks", "pi"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    payload = json.loads(proc.stdout)
+    assert payload["all_passed"] is True
+    assert payload["checks"]["pi"]["passed"] is True
 
 
 # ------------------------------------------------------------- verify

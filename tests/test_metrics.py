@@ -11,12 +11,10 @@ from hypothesis import strategies as st
 
 from reference import merge_count_inversions
 from sortlab import (
-    InversionSnapshot,
     count_inversions,
     inversion_delta,
     max_inversions,
     swap_bounds,
-    take_snapshot,
     violated_bounds,
 )
 
@@ -98,12 +96,6 @@ def test_violated_bounds_is_empty_exactly_inside_the_envelope():
             for swaps in range(upper_total + 3):
                 inside = lower <= swaps <= min(upper_total, upper_adaptive)
                 assert (violated_bounds(n, inversions, swaps) == []) == inside
-
-
-def test_take_snapshot():
-    snap = take_snapshot([2, 3, 1])
-    assert snap == InversionSnapshot(inversions=2, max_inversions=3)
-    assert take_snapshot([]) == InversionSnapshot(0, 0)
 
 
 def test_against_merge_oracle_seeded():
