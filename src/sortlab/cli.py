@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import random
 import sys
@@ -81,12 +80,15 @@ def parse_int_values(text: str) -> list[int]:
 
 
 def _read_input_values(source: str) -> list[int]:
-    # If the argument names an existing file, read values from it;
-    # otherwise treat the argument itself as inline values.
+    # A file name is read, anything else parsed inline; an argument that is both is refused.
     path = Path(source)
-    if path.is_file():
+    if not path.is_file():
+        return parse_int_values(source)
+    try:
+        parse_int_values(source)
+    except ValueError:
         return parse_int_values(path.read_text(encoding="utf-8"))
-    return parse_int_values(source)
+    raise ValueError(f"{source!r} is both inline values and a file name; write ./{source} to read the file")
 
 
 def write_trace(path: str, events: Sequence[TraceEvent]) -> None:
@@ -146,13 +148,6 @@ def load_trace(path: str) -> list[TraceEvent]:
     return events
 
 
-def _is_sorted(values: Sequence, descending: bool) -> bool:
-    pairs = list(zip(values, values[1:]))
-    if descending:
-        return all(x >= y for x, y in pairs)
-    return all(x <= y for x, y in pairs)
-
-
 def cmd_sort(args: argparse.Namespace) -> int:
     try:
         values = _read_input_values(args.input)
@@ -174,7 +169,7 @@ def cmd_sort(args: argparse.Namespace) -> int:
         "comparisons": report.comparisons,
         report.swap_label: report.swaps,
         "output": list(report.output),
-        "sorted": _is_sorted(report.output, info.descending),
+        "sorted": report.output == sorted(values, reverse=info.descending),
     }
     print(json.dumps(payload))
     return 0
@@ -300,9 +295,9 @@ def _verify_theorem4(n_max: int, survey: Survey) -> VerificationVerdict:
 
 
 def _verify_instability(n_max: int, survey: Survey) -> VerificationVerdict:
-    # Witnesses need duplicate keys, and a 3-element search already
-    # succeeds, so there is no point scanning past length 3.
-    limit = max(2, min(n_max, 3))
+    # Witnesses need duplicate keys; none exists at length 2, and a
+    # 3-element search already succeeds, so the search always stops at 3.
+    limit = 3
     witness = find_instability_witness(limit)
     if witness is None:
         counterexample = {"searched_up_to": limit, "witness": None}
@@ -333,15 +328,6 @@ _CHECKS = {
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    if not 1 <= args.n_max <= EXHAUSTIVE_CAP:
-        print(
-            f"sortlab verify: --n-max must be between 1 and {EXHAUSTIVE_CAP}, got {args.n_max}",
-            file=sys.stderr,
-        )
-        return 2
-    if args.samples < 0:
-        print(f"sortlab verify: --samples must be >= 0, got {args.samples}", file=sys.stderr)
-        return 2
     selected = args.checks if args.checks is not None else list(CHECK_IDS)
     # theorem2-4 read one exhaustive survey per n, made once per run.
     survey = lru_cache(maxsize=None)(exhaustive_summary)
@@ -436,17 +422,6 @@ def write_bench_csv(records: Sequence[BenchRecord], stream) -> None:
         writer.writerow([r.algorithm, r.n, r.rep, r.seed, r.comparisons, r.swaps, r.wall_ns])
 
 
-def read_bench_csv(text: str) -> list[BenchRecord]:
-    """Parse bench CSV back into records; exact inverse of the writer."""
-    rows = list(csv.reader(io.StringIO(text)))
-    if not rows or rows[0] != list(BENCH_COLUMNS):
-        raise ValueError("not a bench CSV: missing or unexpected header")
-    return [
-        BenchRecord(algorithm, int(n), int(rep), int(seed), int(comparisons), int(swaps), int(wall_ns))
-        for algorithm, n, rep, seed, comparisons, swaps, wall_ns in rows[1:]
-    ]
-
-
 def summarize_bench(records: Sequence[BenchRecord]) -> dict[str, dict]:
     """Per-algorithm run counts and mean comparison/swap/wall figures."""
     grouped: dict[str, list[BenchRecord]] = {}
@@ -464,15 +439,6 @@ def summarize_bench(records: Sequence[BenchRecord]) -> dict[str, dict]:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    if args.reps < 1:
-        print(f"sortlab bench: --reps must be >= 1, got {args.reps}", file=sys.stderr)
-        return 2
-    if not args.sizes:
-        print("sortlab bench: --sizes must name at least one input length", file=sys.stderr)
-        return 2
-    if any(n < 0 for n in args.sizes):
-        print(f"sortlab bench: sizes must be >= 0, got {args.sizes}", file=sys.stderr)
-        return 2
     records = collect_bench_records(args.sizes, args.reps, args.seed)
     summary = summarize_bench(records)
     if args.format == "csv":
@@ -501,14 +467,33 @@ def _check_ids(text: str) -> list[str]:
         raise argparse.ArgumentTypeError(
             f"unknown checks: {', '.join(unknown)}; valid: {', '.join(CHECK_IDS)}"
         )
+    if len(set(names)) < len(names):
+        raise argparse.ArgumentTypeError(f"each check may be named only once, got {text!r}")
     return names
 
 
-def _int_list(text: str) -> list[int]:
+def _int_range(low: int, high: Optional[int] = None) -> Callable[[str], int]:
+    """An argparse type: an integer in ``low..high``, or ``>= low`` when ``high`` is None."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low or (high is not None and value > high):
+            bound = f">= {low}" if high is None else f"between {low} and {high}"
+            raise argparse.ArgumentTypeError(f"must be {bound}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in "invalid int value: 'x'"
+    return parse
+
+
+def _sizes(text: str) -> list[int]:
     try:
-        return [int(tok.strip()) for tok in text.split(",") if tok.strip()]
+        sizes = parse_int_values(text)
     except ValueError as err:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from err
+    if not sizes or min(sizes) < 0:
+        raise argparse.ArgumentTypeError(f"must name at least one input length, each >= 0, got {text!r}")
+    return sizes
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -528,8 +513,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sort.add_argument(
         "--input",
         required=True,
-        help="comma-separated integers, or a path to a file holding one integer per line "
-        "(or one comma-separated line)",
+        help="comma-separated integers, or a path to a file holding one per line (or one comma-separated "
+        "line); write ./NAME for a file whose name also reads as integers",
     )
     p_sort.add_argument("--trace", metavar="PATH", help="also write the event trace to PATH as JSON lines")
     p_sort.set_defaults(handler=cmd_sort)
@@ -545,14 +530,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument(
         "--n-max",
         dest="n_max",
-        type=int,
+        type=_int_range(1, EXHAUSTIVE_CAP),
         default=7,
         help=f"exhaustive checks cover every permutation up to this length, 1..{EXHAUSTIVE_CAP} "
         "(default: %(default)s)",
     )
     p_verify.add_argument(
         "--samples",
-        type=int,
+        type=_int_range(0),
         default=0,
         help=f"additionally bound-check this many seeded random permutations of 1..{RANDOM_SUITE_N} "
         "(default: %(default)s)",
@@ -563,12 +548,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench = sub.add_parser("bench", help="time every algorithm and emit per-run records")
     p_bench.add_argument(
         "--sizes",
-        type=_int_list,
+        type=_sizes,
         default=[16, 64, 128],
         metavar="N,N,...",
         help="comma-separated input lengths (default: 16,64,128)",
     )
-    p_bench.add_argument("--reps", type=int, default=3, help="repetitions per size (default: %(default)s)")
+    p_bench.add_argument("--reps", type=_int_range(1), default=3, help="repetitions per size (default: %(default)s)")
     p_bench.add_argument("--seed", type=int, default=0, help="shuffle seed (default: %(default)s)")
     p_bench.add_argument(
         "--format",

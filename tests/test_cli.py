@@ -30,7 +30,6 @@ from sortlab.cli import (
     load_trace,
     main,
     parse_int_values,
-    read_bench_csv,
     summarize_bench,
     write_bench_csv,
 )
@@ -206,6 +205,34 @@ def test_sort_bad_inline_input(capsys):
     assert "cannot read input" in err
 
 
+def test_sort_refuses_an_input_that_is_both_values_and_a_file(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "5").write_text("9\n8\n")
+    rc, out, err = run(capsys, "sort", "--input", "5")
+    assert rc == 2
+    assert out == ""
+    assert "./5" in err
+    rc, out, _ = run(capsys, "sort", "--input", "./5")
+    assert rc == 0
+    assert json.loads(out)["output"] == [8, 9]
+
+
+def test_sort_flags_an_output_that_lost_an_element(capsys, monkeypatch):
+    # Pairwise order alone would call [1, 3] sorted.
+    info = cli.ALGORITHMS["icbics"]
+
+    def lossy(values, observer=None):
+        report = info.func(values, observer)
+        return dataclasses.replace(report, output=report.output[:1] + report.output[2:])
+
+    monkeypatch.setitem(cli.ALGORITHMS, "icbics", dataclasses.replace(info, func=lossy))
+    rc, out, _ = run(capsys, "sort", "--input", "3,2,1")
+    assert rc == 0
+    payload = json.loads(out)
+    assert payload["output"] == [1, 3]
+    assert payload["sorted"] is False
+
+
 def test_sort_missing_file_is_input_error(capsys):
     rc, _, err = run(capsys, "sort", "--input", "no/such/file.txt")
     assert rc == 2
@@ -310,6 +337,35 @@ def test_verify_n_max_out_of_range(capsys, n_max):
     rc, _, err = run(capsys, "verify", "--n-max", n_max)
     assert rc == 2
     assert "--n-max" in err
+
+
+@pytest.mark.parametrize(
+    "argv, phrase",
+    [
+        (["verify", "--n-max", "0"], f"must be between 1 and {EXHAUSTIVE_CAP}"),
+        (["verify", "--n-max", "x"], "invalid int value"),
+        (["verify", "--samples", "-3"], "must be >= 0"),
+        (["verify", "--checks", "pi,lemma1,pi"], "named only once"),
+        (["bench", "--reps", "0"], "must be >= 1"),
+        (["bench", "--reps", "2.5"], "invalid int value"),
+        (["bench", "--sizes", "8,-1"], "each >= 0"),
+    ],
+)
+def test_bad_arguments_get_argparse_usage_errors(capsys, argv, phrase):
+    rc, out, err = run(capsys, *argv)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("usage: sortlab ")
+    assert phrase in err
+
+
+@pytest.mark.parametrize("n_max", ["1", "2"])
+def test_verify_small_n_max_still_finds_the_instability_witness(capsys, n_max):
+    rc, out, _ = run(capsys, "verify", "--n-max", n_max)
+    assert rc == 0
+    payload = json.loads(out)
+    assert payload["all_passed"] is True
+    assert payload["checks"]["instability"]["details"]["searched_up_to"] == 3
 
 
 def test_verify_pi_at_n_max_one_is_trivially_green(capsys):
@@ -462,9 +518,9 @@ def test_bench_json_output(capsys):
 def test_bench_contract_example(capsys):
     rc, out, _ = run(capsys, "bench", "--sizes", "100", "--reps", "3", "--seed", "1")
     assert rc == 0
-    records = read_bench_csv(out)
-    assert len(records) == 18
-    assert all(r.comparisons == 10000 for r in records if r.algorithm == "icbics")
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert len(rows) == 18
+    assert all(int(r["comparisons"]) == 10000 for r in rows if r["algorithm"] == "icbics")
 
 
 def test_bench_usage_errors(capsys):
@@ -482,9 +538,9 @@ def test_bench_csv_round_trip_is_exact():
     records = collect_bench_records([9, 14], reps=2, seed=6)
     stream = io.StringIO()
     write_bench_csv(records, stream)
-    assert read_bench_csv(stream.getvalue()) == records
-    with pytest.raises(ValueError):
-        read_bench_csv("not,a,bench,header\n")
+    header, *rows = csv.reader(io.StringIO(stream.getvalue()))
+    assert header == list(BENCH_COLUMNS)
+    assert [cli.BenchRecord(name, *map(int, rest)) for name, *rest in rows] == records
 
 
 def test_bench_json_round_trip_is_exact():
