@@ -17,8 +17,9 @@ import json
 import random
 import sys
 import time
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import chain, product
 from pathlib import Path
 from statistics import fmean
@@ -42,7 +43,6 @@ from .sortcore import (
     PHASE_NA,
     PHASE_SELECTION,
     TraceEvent,
-    TraceRecorder,
     icbics_sort,
 )
 from .verify import (
@@ -91,28 +91,31 @@ def _read_input_values(source: str) -> list[int]:
     raise ValueError(f"{source!r} is both inline values and a file name; write ./{source} to read the file")
 
 
-def write_trace(path: str, events: Sequence[TraceEvent]) -> None:
-    """Write events as JSON lines, one object per event."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for event in events:
-            fh.write(
-                json.dumps(
-                    {
-                        "seq": event.seq,
-                        "kind": event.kind,
-                        "i": event.i,
-                        "j": event.j,
-                        "phase": event.phase,
-                    }
-                )
-            )
-            fh.write("\n")
-
-
-# Each loaded kind and phase is swapped for the module's own string, so a
-# long trace holds no per-event copies of these few values.
+# The kinds and phases sorters emit.  Each loaded one is swapped for the module's
+# own string, so a long trace holds no per-event copies of these few values.
 _TRACE_KINDS = {kind: kind for kind in (KIND_COMPARE, KIND_SWAP)}
 _TRACE_PHASES = {phase: phase for phase in (PHASE_SELECTION, PHASE_INSERTION, PHASE_NA)}
+
+
+def _write_trace_line(write: Callable[[str], object], event: TraceEvent) -> None:
+    # The one trace line format: a JSON object with keys seq, kind, i, j, phase.
+    seq, kind, i, j, phase = event
+    write(f'{{"seq": {seq}, "kind": "{kind}", "i": {i}, "j": {j}, "phase": "{phase}"}}\n')
+
+
+def write_trace(path: str, events: Iterable[TraceEvent]) -> None:
+    """Write events as JSON lines, one object per event.  Raises ``ValueError``
+    on an event that :func:`load_trace` would refuse, before writing it; the
+    lines before it stay written."""
+    last_seq = -1
+    with open(path, "w", encoding="utf-8") as fh:
+        for event in events:
+            seq, kind, i, j, phase = event
+            typed = type(seq) is type(i) is type(j) is int and type(kind) is type(phase) is str
+            if not typed or kind not in _TRACE_KINDS or phase not in _TRACE_PHASES or seq <= last_seq:
+                raise ValueError(f"trace event needs int seq, i, j, seq rising, a known kind and phase: {event!r}")
+            last_seq = seq
+            _write_trace_line(fh.write, event)
 
 
 def load_trace(path: str) -> list[TraceEvent]:
@@ -155,14 +158,13 @@ def cmd_sort(args: argparse.Namespace) -> int:
         print(f"sortlab sort: cannot read input: {err}", file=sys.stderr)
         return 2
     info = ALGORITHMS[args.algo]
-    recorder = TraceRecorder() if args.trace else None
-    report = info.func(values, recorder)
-    if recorder is not None:
-        try:
-            write_trace(args.trace, recorder.events)
-        except OSError as err:
-            print(f"sortlab sort: cannot write trace: {err}", file=sys.stderr)
-            return 2
+    # Each event goes to the file as the sorter makes it, so no trace is held in memory.
+    try:
+        with open(args.trace, "w", encoding="utf-8") if args.trace else nullcontext() as fh:
+            report = info.func(values, None if fh is None else partial(_write_trace_line, fh.write))
+    except OSError as err:
+        print(f"sortlab sort: cannot write trace: {err}", file=sys.stderr)
+        return 2
     payload = {
         "algorithm": report.algorithm,
         "n": report.n,
@@ -409,9 +411,7 @@ def collect_bench_records(
                 start = time.perf_counter_ns()
                 report = func(data)
                 wall_ns = time.perf_counter_ns() - start
-                records.append(
-                    BenchRecord(name, n, rep, seed, report.comparisons, report.swaps, wall_ns)
-                )
+                records.append(BenchRecord(name, n, rep, seed, report.comparisons, report.swaps, wall_ns))
     return records
 
 

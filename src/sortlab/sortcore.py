@@ -80,7 +80,9 @@ class TraceRecorder:
     """Buffering observer: collects every event in ``events``.
 
     The sorters themselves never store events, so plain counting runs
-    stay O(1) in memory; use this recorder when the full trace matters.
+    stay O(1) in memory; use this recorder when the full trace must be
+    held in memory.  ``sortlab sort --trace`` holds none: it streams each
+    event to its file as it comes (``cli.cmd_sort``).
     """
 
     def __init__(self) -> None:

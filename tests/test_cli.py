@@ -32,9 +32,18 @@ from sortlab.cli import (
     parse_int_values,
     summarize_bench,
     write_bench_csv,
+    write_trace,
 )
 from sortlab.oracle import EXHAUSTIVE_CAP
-from sortlab.sortcore import KIND_COMPARE, KIND_SWAP, PHASE_INSERTION, PHASE_SELECTION
+from sortlab.sortcore import (
+    KIND_COMPARE,
+    KIND_SWAP,
+    PHASE_INSERTION,
+    PHASE_NA,
+    PHASE_SELECTION,
+    TraceEvent,
+    TraceRecorder,
+)
 
 CSV_HEADER = "algorithm,n,rep,seed,comparisons,swaps,wall_ns"
 
@@ -244,6 +253,85 @@ def test_sort_unwritable_trace_is_usage_error(capsys, tmp_path):
     rc, _, err = run(capsys, "sort", "--input", "2,1", "--trace", str(target))
     assert rc == 2
     assert "cannot write trace" in err
+
+
+def test_sort_unwritable_trace_never_runs_the_sorter(capsys, monkeypatch, tmp_path):
+    info = cli.ALGORITHMS["icbics"]
+    calls = []
+
+    def counting(values, observer=None):
+        calls.append(values)
+        return info.func(values, observer)
+
+    monkeypatch.setitem(cli.ALGORITHMS, "icbics", dataclasses.replace(info, func=counting))
+    rc, out, err = run(capsys, "sort", "--input", "2,1", "--trace", str(tmp_path / "absent" / "trace.jsonl"))
+    assert (rc, out, calls) == (2, "", [])
+    assert "cannot write trace" in err
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_sort_trace_write_failing_mid_sort_is_usage_error(capsys, tmp_path):
+    # 100 values make 10,000 compare events, many times one write buffer,
+    # so the write fails while the sorter is still running.
+    source = tmp_path / "values.txt"
+    source.write_text("\n".join(str(v) for v in range(100, 0, -1)) + "\n")
+    rc, out, err = run(capsys, "sort", "--input", str(source), "--trace", "/dev/full")
+    assert (rc, out) == (2, "")
+    assert "cannot write trace" in err
+
+
+TRACE_INPUTS = ([4, 7, 1, 6, 3, 5, 2], [3, 1, 3, 2, 1, 3, 2])
+
+
+@pytest.mark.parametrize("values", TRACE_INPUTS, ids=("permutation", "duplicates"))
+@pytest.mark.parametrize("algo", list(cli.ALGORITHMS))
+def test_sort_trace_file_is_the_json_dumps_of_each_event(tmp_path, capsys, algo, values):
+    recorder = TraceRecorder()
+    cli.ALGORITHMS[algo].func(values, recorder)
+    keys = ("seq", "kind", "i", "j", "phase")
+    expected = "".join(json.dumps(dict(zip(keys, event))) + "\n" for event in recorder.events).encode()
+
+    streamed = tmp_path / "streamed.jsonl"
+    rc, _, _ = run(capsys, "sort", "--algo", algo, "--input", ",".join(map(str, values)), "--trace", str(streamed))
+    assert rc == 0
+    assert streamed.read_bytes() == expected
+    written = tmp_path / "written.jsonl"
+    write_trace(str(written), recorder.events)
+    assert written.read_bytes() == expected
+    assert load_trace(str(streamed)) == recorder.events
+
+
+GOOD_EVENT = TraceEvent(0, KIND_COMPARE, 1, 2, PHASE_SELECTION)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        TraceEvent(1, "shift", 1, 2, PHASE_NA),
+        TraceEvent(1, KIND_SWAP, 1, 2, "merge"),
+        TraceEvent(1, ["swap"], 1, 2, PHASE_SELECTION),
+        TraceEvent(1, KIND_SWAP, 1, 2, None),
+        TraceEvent("1", KIND_SWAP, 1, 2, PHASE_SELECTION),
+        TraceEvent(1, KIND_SWAP, "1", 2, PHASE_SELECTION),
+        TraceEvent(1, KIND_SWAP, 1, 2.0, PHASE_SELECTION),
+        TraceEvent(1, KIND_SWAP, True, 2, PHASE_SELECTION),
+        TraceEvent(0, KIND_SWAP, 1, 2, PHASE_SELECTION),
+        TraceEvent(-1, KIND_SWAP, 1, 2, PHASE_SELECTION),
+    ],
+)
+def test_write_trace_refuses_what_load_trace_refuses(tmp_path, bad):
+    trace_path = tmp_path / "trace.jsonl"
+    with pytest.raises(ValueError):
+        write_trace(str(trace_path), [GOOD_EVENT, bad])
+    # The refused event was never written; the one before it was.
+    assert load_trace(str(trace_path)) == [GOOD_EVENT]
+
+
+def test_write_trace_refuses_a_negative_first_seq(tmp_path):
+    trace_path = tmp_path / "trace.jsonl"
+    with pytest.raises(ValueError):
+        write_trace(str(trace_path), [TraceEvent(-1, KIND_SWAP, 1, 2, PHASE_NA)])
+    assert trace_path.read_text() == ""
 
 
 # -------------------------------------------------------------- glue
