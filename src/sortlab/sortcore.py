@@ -16,6 +16,11 @@ The double-loop sorters share one kernel per swap condition:
 ``_swap_when_greater`` runs ``exchange_sort`` and ``icbics_desc_ineq``,
 which ``icbics_desc_loopswap`` relays.  ``std_insertion_sort`` stops
 early, so it keeps its own loop.
+
+Every sorter builds its events as ``tuple.__new__(TraceEvent, (...))``.
+That is the same object ``TraceEvent(...)`` returns, without the
+Python-level ``__new__`` that ``NamedTuple`` generates, and it costs
+about half as much; a traced sort spends most of its time on events.
 """
 
 from __future__ import annotations
@@ -45,7 +50,10 @@ class TraceEvent(NamedTuple):
 
     A named tuple because the sorters build one per comparison: it costs
     about half what a frozen dataclass does to construct, and its fields
-    are just as read-only.
+    are just as read-only.  The sorters and ``cli.load_trace`` build it
+    with ``tuple.__new__(TraceEvent, (seq, kind, i, j, phase))``, which
+    skips the generated ``__new__`` (a Python function call per event)
+    and halves that cost again; the result is an ordinary ``TraceEvent``.
     """
 
     seq: int
@@ -109,7 +117,7 @@ def _swap_when_less(values: Sequence[Key], obs: Observer | None, algorithm: str,
             aj = a[j]
             comparisons += 1
             if obs is not None:
-                obs(TraceEvent(seq, KIND_COMPARE, ip, j + 1, phase))
+                obs(tuple.__new__(TraceEvent, (seq, KIND_COMPARE, ip, j + 1, phase)))
                 seq += 1
             if ai < aj:
                 a[i] = aj
@@ -117,7 +125,7 @@ def _swap_when_less(values: Sequence[Key], obs: Observer | None, algorithm: str,
                 ai = aj
                 swaps += 1
                 if obs is not None:
-                    obs(TraceEvent(seq, KIND_SWAP, ip, j + 1, phase))
+                    obs(tuple.__new__(TraceEvent, (seq, KIND_SWAP, ip, j + 1, phase)))
                     seq += 1
     return SortReport(algorithm, n, comparisons, swaps, a)
 
@@ -138,7 +146,7 @@ def _swap_when_greater(values: Sequence[Key], obs: Observer | None, algorithm: s
             aj = a[j]
             comparisons += 1
             if obs is not None:
-                obs(TraceEvent(seq, KIND_COMPARE, ip, j + 1, PHASE_NA))
+                obs(tuple.__new__(TraceEvent, (seq, KIND_COMPARE, ip, j + 1, PHASE_NA)))
                 seq += 1
             if aj < ai:
                 a[i] = aj
@@ -146,7 +154,7 @@ def _swap_when_greater(values: Sequence[Key], obs: Observer | None, algorithm: s
                 ai = aj
                 swaps += 1
                 if obs is not None:
-                    obs(TraceEvent(seq, KIND_SWAP, ip, j + 1, PHASE_NA))
+                    obs(tuple.__new__(TraceEvent, (seq, KIND_SWAP, ip, j + 1, PHASE_NA)))
                     seq += 1
     return SortReport(algorithm, n, comparisons, swaps, a)
 
@@ -205,7 +213,8 @@ def icbics_desc_loopswap(values: Sequence[Key], observer: Observer | None = None
     if observer is not None:
 
         def relay(event: TraceEvent) -> None:
-            observer(TraceEvent(event.seq, event.kind, event.j, event.i, event.phase))
+            seq, kind, i, j, phase = event
+            observer(tuple.__new__(TraceEvent, (seq, kind, j, i, phase)))
 
     return replace(icbics_desc_ineq(values, relay), algorithm="icbics-desc-loops")
 
@@ -232,14 +241,14 @@ def std_insertion_sort(values: Sequence[Key], observer: Observer | None = None) 
             left = a[k - 1]
             comparisons += 1
             if obs is not None:
-                obs(TraceEvent(seq, KIND_COMPARE, k + 1, k, PHASE_NA))
+                obs(tuple.__new__(TraceEvent, (seq, KIND_COMPARE, k + 1, k, PHASE_NA)))
                 seq += 1
             if ak < left:
                 a[k] = left
                 a[k - 1] = ak
                 moves += 1
                 if obs is not None:
-                    obs(TraceEvent(seq, KIND_SWAP, k + 1, k, PHASE_NA))
+                    obs(tuple.__new__(TraceEvent, (seq, KIND_SWAP, k + 1, k, PHASE_NA)))
                     seq += 1
                 k -= 1
             else:

@@ -15,6 +15,7 @@ import os
 import subprocess
 import sys
 from dataclasses import asdict
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -193,13 +194,21 @@ def test_load_trace_rejects_unknown_kind_or_phase(tmp_path, line):
         '{"seq": 1, "kind": "compare", "i": 1, "j": 2, "phase": "selection"}\n'
         '{"seq": 1, "kind": "swap", "i": 1, "j": 2, "phase": "selection"}',
         "[0, 1, 2]",
+        '{"seq": 0, "kind": "swap", "i": 1, "j": 2, "phase": "selection"} '
+        '{"seq": 1, "kind": "swap", "i": 1, "j": 2, "phase": "selection"}',
+        '{"seq": 0, "kind": "swap", "i": 1, "j": 2, "phase": "selection"}x',
+        "seq 0 swap 1 2 selection",
+        '{"seq": 0, "kind": "compare", "i": 1, "j": 2, "phase": "selection"}\n'
+        '{"seq": 1, "kind": "swap", "i": 1, "j": 2}',
     ],
 )
 def test_load_trace_rejects_malformed_events(tmp_path, text):
     trace_path = tmp_path / "trace.jsonl"
     trace_path.write_text(text + "\n")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as refused:
         load_trace(str(trace_path))
+    # The bad line is the last one, and the message names it.
+    assert str(refused.value).startswith(f"trace line {len(text.splitlines())}: ")
 
 
 def test_sort_unknown_algorithm_is_usage_error(capsys):
@@ -240,6 +249,14 @@ def test_sort_flags_an_output_that_lost_an_element(capsys, monkeypatch):
     payload = json.loads(out)
     assert payload["output"] == [1, 3]
     assert payload["sorted"] is False
+
+
+def test_sort_takes_inline_values_too_long_for_a_file_name(capsys):
+    # 200 values make 692 characters, past any file system's name limit.
+    values = list(range(200, 0, -1))
+    rc, out, _ = run(capsys, "sort", "--algo", "std-insertion", "--input", ",".join(map(str, values)))
+    assert rc == 0
+    assert json.loads(out)["output"] == sorted(values)
 
 
 def test_sort_missing_file_is_input_error(capsys):
@@ -299,6 +316,22 @@ def test_sort_trace_file_is_the_json_dumps_of_each_event(tmp_path, capsys, algo,
     write_trace(str(written), recorder.events)
     assert written.read_bytes() == expected
     assert load_trace(str(streamed)) == recorder.events
+
+
+@pytest.mark.parametrize("algo", list(cli.ALGORITHMS))
+def test_every_event_is_a_trace_event(tmp_path, algo):
+    # A plain tuple equals the TraceEvent with the same fields, so the
+    # equality checks elsewhere would not notice one.
+    trace_path = tmp_path / "trace.jsonl"
+    for n in range(5):
+        for values in product((1, 2, 3), repeat=n):
+            recorder = TraceRecorder()
+            cli.ALGORITHMS[algo].func(values, recorder)
+            write_trace(str(trace_path), recorder.events)
+            for event in recorder.events + load_trace(str(trace_path)):
+                assert type(event) is TraceEvent
+                assert event == TraceEvent(*event)
+                assert (event.seq, event.kind, event.i, event.j, event.phase) == tuple(event)
 
 
 GOOD_EVENT = TraceEvent(0, KIND_COMPARE, 1, 2, PHASE_SELECTION)
@@ -374,6 +407,21 @@ def test_python_dash_m_runs_verify(module):
     payload = json.loads(proc.stdout)
     assert payload["all_passed"] is True
     assert payload["checks"]["pi"]["passed"] is True
+
+
+def test_closed_stdout_exits_1_without_a_traceback(tmp_path):
+    # The report of 30,000 values is larger than a pipe holds, so the write
+    # fails whether or not the pipe is closed before the child reaches it.
+    source = tmp_path / "values.txt"
+    source.write_text("\n".join(map(str, range(30_000))) + "\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    argv = [sys.executable, "-m", "sortlab", "sort", "--algo", "std-insertion", "--input", str(source)]
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 1
+    assert err == b""
 
 
 # ------------------------------------------------------------- verify
