@@ -139,8 +139,8 @@ def load_trace(path: str) -> list[TraceEvent]:
                 continue
             try:
                 raw, end = _decode_json(line)
-            except json.JSONDecodeError as err:
-                raise ValueError(f"trace line {number}: not JSON ({err.msg}): {line}") from err
+            except (json.JSONDecodeError, RecursionError) as err:  # the decoder recurses on nested arrays
+                raise ValueError(f"trace line {number}: not JSON ({getattr(err, 'msg', err)}): {line}") from err
             if end != len(line):
                 raise ValueError(f"trace line {number}: data after the JSON value: {line}")
             try:
@@ -190,6 +190,7 @@ def cmd_sort(args: argparse.Namespace) -> int:
 
 # exhaustive_summary, cached for one verify run.
 Survey = Callable[[int], OracleSummary]
+Check = Callable[[Sequence[int]], VerificationVerdict]
 
 
 def _check_sorted(values: Sequence[int]) -> VerificationVerdict:
@@ -199,13 +200,10 @@ def _check_sorted(values: Sequence[int]) -> VerificationVerdict:
     return VerificationVerdict("correctness", False, {"input": list(values), "output": list(output)})
 
 
-def _sweep(
-    check_id: str, check: Callable[[Sequence[int]], VerificationVerdict], inputs: Iterable[Sequence[int]]
-) -> VerificationVerdict:
+def _sweep(check_id: str, check: Check, inputs: Iterable[Sequence[int]], examined: int = 0) -> VerificationVerdict:
     """Run a per-input check on each input in turn, stopping at the first
     failure; ``details`` counts the inputs examined, the failing one
-    included."""
-    examined = 0
+    included, after the ``examined`` already counted."""
     for values in inputs:
         examined += 1
         verdict = check(values)
@@ -218,12 +216,34 @@ def _permutations(n_min: int, n_max: int) -> Iterable[tuple[int, ...]]:
     return chain.from_iterable(enumerate_permutations(n) for n in range(n_min, n_max + 1))
 
 
+def _survey_failure(
+    check_id: str, summary: OracleSummary, examined: int, rebuild: Check
+) -> Optional[VerificationVerdict]:
+    # The failing verdict for the survey's first input that failed this
+    # check, with the counterexample ``rebuild`` makes on that input, or
+    # None; ``examined`` counts the inputs of the shorter lengths already surveyed.
+    first = summary.first_violations.get(check_id)
+    if first is None:
+        return None
+    ordinal, values = first
+    counterexample = rebuild(values).counterexample
+    return VerificationVerdict(check_id, False, counterexample, {"inputs_examined": examined + ordinal})
+
+
 def _verify_correctness(n_max: int, survey: Survey) -> VerificationVerdict:
-    # Small inputs over a 3-value alphabet exercise duplicate handling,
-    # which permutations cannot.
+    # Lengths 0 and 1, then the survey's permutations of 2..n_max, then small inputs
+    # over a 3-value alphabet, which exercise duplicate handling as permutations cannot.
+    trivial = _sweep("correctness", _check_sorted, _permutations(0, 1))
+    if not trivial.passed:
+        return trivial
+    examined = 2
+    for n in range(2, n_max + 1):
+        summary = survey(n)
+        if unsorted := _survey_failure("correctness", summary, examined, _check_sorted):
+            return unsorted
+        examined += summary.inputs_examined
     duplicates = (product((1, 2, 3), repeat=n) for n in range(1, min(n_max, 4) + 1))
-    inputs = chain(_permutations(0, n_max), chain.from_iterable(duplicates))
-    return _sweep("correctness", _check_sorted, inputs)
+    return _sweep("correctness", _check_sorted, chain.from_iterable(duplicates), examined)
 
 
 def _verify_theorem2(n_max: int, survey: Survey) -> VerificationVerdict:
@@ -250,24 +270,11 @@ def _verify_theorem2(n_max: int, survey: Survey) -> VerificationVerdict:
     return VerificationVerdict("theorem2", True, details={"per_n": per_n})
 
 
-def _escaped_bound(check_id: str, summary: OracleSummary, examined: int) -> Optional[VerificationVerdict]:
-    # The failing verdict for the survey's first input whose swap count
-    # escaped this bound, or None; ``examined`` counts the inputs of the
-    # shorter lengths already surveyed.
-    first = summary.first_violations.get(check_id)
-    if first is None:
-        return None
-    ordinal, values = first
-    counterexample = check_theorem_bounds(values).counterexample
-    return VerificationVerdict(check_id, False, counterexample, {"inputs_examined": examined + ordinal})
-
-
 def _verify_theorem3(n_max: int, survey: Survey) -> VerificationVerdict:
     examined = 0
     for n in range(2, n_max + 1):
         summary = survey(n)
-        escaped = _escaped_bound("theorem3", summary, examined)
-        if escaped is not None:
+        if escaped := _survey_failure("theorem3", summary, examined, check_theorem_bounds):
             return escaped
         examined += summary.inputs_examined
         # The bound is tight exactly at the already-sorted input.
@@ -284,8 +291,7 @@ def _verify_theorem4(n_max: int, survey: Survey) -> VerificationVerdict:
     examined = 0
     for n in range(2, n_max + 1):
         summary = survey(n)
-        escaped = _escaped_bound("theorem4", summary, examined)
-        if escaped is not None:
+        if escaped := _survey_failure("theorem4", summary, examined, check_theorem_bounds):
             return escaped
         examined += summary.inputs_examined
         wanted = [theorem4_extremal_input(n)]
@@ -355,7 +361,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     payload = {"n_max": args.n_max, "checks": results}
     if args.samples >= 1:
         suite = random_suite(RANDOM_SUITE_N, args.samples, args.seed)
-        suite_ok = suite.bound_violations == 0
+        suite_ok = suite.bound_violations == 0 and "correctness" not in suite.first_violations
         payload["random_suite"] = {
             "n": suite.n,
             "samples": suite.inputs_examined,
@@ -548,7 +554,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--samples",
         type=_int_range(0),
         default=0,
-        help=f"additionally bound-check this many seeded random permutations of 1..{RANDOM_SUITE_N} "
+        help=f"additionally check order and bounds on this many seeded random permutations of 1..{RANDOM_SUITE_N} "
         "(default: %(default)s)",
     )
     p_verify.add_argument("--seed", type=int, default=0, help="seed for --samples (default: %(default)s)")

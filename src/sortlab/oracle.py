@@ -4,8 +4,8 @@ Because the sorters are comparison-based, distinct-element behavior is
 fully captured by permutations of 1..n, so exhaustive enumeration at
 small n settles the extremal questions exactly: the largest and
 smallest swap counts the double-loop sort can make, and precisely which
-inputs attain them.  A seeded random suite extends the bound checks to
-sizes where enumeration is impossible.
+inputs attain them; each survey also notes the first unsorted output.
+A seeded random suite extends these checks past enumeration's reach.
 """
 
 from __future__ import annotations
@@ -31,11 +31,11 @@ class OracleSummary:
     and in lexicographic order.  ``bound_violations`` counts inputs
     whose swap count escaped any closed-form bound; it must be 0.
     ``mode`` is "exhaustive" or "random"; ``seed`` is set in random mode
-    so a summary can be reproduced.  ``first_violations`` maps the id of
-    each bound that some input escaped (see
-    :func:`~sortlab.metrics.violated_bounds`) to the 1-based ordinal and
-    the input of the first such input, in examination order; it is empty
-    when ``bound_violations`` is 0.
+    so a summary can be reproduced.  ``first_violations`` is keyed by
+    check id: ``"correctness"`` if some input came out unsorted, and the
+    id of each bound that some input escaped (see
+    :func:`~sortlab.metrics.violated_bounds`).  Each maps to the 1-based
+    ordinal and the input of the first such input, in examination order.
     """
 
     n: int
@@ -88,9 +88,13 @@ def _summarize(n: int, inputs: Iterator[tuple[int, ...]], mode: str, seed: Optio
     argmax: set[tuple[int, ...]] = set()
     argmin: set[tuple[int, ...]] = set()
     first_violations: dict[str, tuple[int, tuple[int, ...]]] = {}
+    ascending = list(range(1, n + 1))  # the inputs are permutations of 1..n
     for perm in inputs:
         examined += 1
-        swaps = icbics_sort(perm).swaps
+        report = icbics_sort(perm)
+        if report.output != ascending:
+            first_violations.setdefault("correctness", (examined, perm))
+        swaps = report.swaps
         violated = violated_bounds(n, count_inversions(perm), swaps)
         if violated:
             violations += 1
@@ -131,8 +135,8 @@ def exhaustive_summary(n: int) -> OracleSummary:
 
 
 def random_suite(n: int, samples: int, seed: int) -> OracleSummary:
-    """Check the swap bounds on ``samples`` seeded random permutations
-    of 1..n (Fisher-Yates shuffle).  Deterministic for a fixed seed.
+    """Check the output order and swap bounds on ``samples`` seeded random
+    permutations of 1..n (Fisher-Yates shuffle).  Deterministic for a fixed seed.
     """
     if n < 2:
         raise ValueError(f"random suite needs n >= 2, got {n}")

@@ -200,6 +200,8 @@ def test_load_trace_rejects_unknown_kind_or_phase(tmp_path, line):
         "seq 0 swap 1 2 selection",
         '{"seq": 0, "kind": "compare", "i": 1, "j": 2, "phase": "selection"}\n'
         '{"seq": 1, "kind": "swap", "i": 1, "j": 2}',
+        # Nested deeper than the decoder's recursion limit.
+        pytest.param("[" * 100_000 + "]" * 100_000, id="nested-too-deep"),
     ],
 )
 def test_load_trace_rejects_malformed_events(tmp_path, text):
@@ -604,6 +606,72 @@ def test_verify_lost_swap_breaks_theorem4(capsys, monkeypatch):
         "violated": ["theorem4"],
     }
     assert checks["theorem4"]["details"] == {"inputs_examined": 27}
+
+
+def reverse_output(monkeypatch, wanted):
+    """Make icbics_sort return the output reversed on every input for
+    which ``wanted(tuple(values))`` holds, wherever the checks and the
+    survey call it."""
+    real = sortlab.sortcore.icbics_sort
+
+    def reversing(values, observer=None):
+        report = real(values, observer)
+        if wanted(tuple(values)):
+            return dataclasses.replace(report, output=report.output[::-1])
+        return report
+
+    for module in (sortlab.oracle, sortlab.verify, cli):
+        monkeypatch.setattr(module, "icbics_sort", reversing)
+
+
+@pytest.mark.parametrize(
+    "target, examined",
+    [
+        # Counted as n = 0, n = 1, the permutations of n = 2..4 in
+        # lexicographic order, then the inputs over {1,2,3} of length 1..4.
+        ((2, 1), 4),
+        ((2, 3, 1), 8),
+        ((1, 1, 2), 2 + 2 + 6 + 24 + 3 + 9 + 2),
+    ],
+)
+def test_verify_correctness_reports_the_first_unsorted_output(capsys, monkeypatch, target, examined):
+    reverse_output(monkeypatch, lambda values: values == target)
+    rc, out, _ = run(capsys, "verify", "--checks", "correctness", "--n-max", "4")
+    assert rc == 1
+    assert json.loads(out)["checks"]["correctness"] == {
+        "passed": False,
+        "counterexample": {"input": list(target), "output": sorted(target, reverse=True)},
+        "details": {"inputs_examined": examined},
+    }
+
+
+def test_verify_samples_fail_on_an_unsorted_output(capsys, monkeypatch):
+    reverse_output(monkeypatch, lambda values: len(values) == cli.RANDOM_SUITE_N)
+    rc, out, _ = run(capsys, "verify", "--checks", "instability", "--samples", "3", "--seed", "1")
+    assert rc == 1
+    payload = json.loads(out)
+    assert payload["random_suite"]["passed"] is False
+    assert payload["random_suite"]["bound_violations"] == 0
+    assert payload["all_passed"] is False
+
+
+def test_verify_sorts_each_permutation_once(capsys, monkeypatch):
+    calls = []
+    real = sortlab.sortcore.icbics_sort
+
+    def counting(values, observer=None):
+        if observer is None:
+            calls.append(tuple(values))
+        return real(values, observer)
+
+    for module in (sortlab.oracle, sortlab.verify, cli):
+        monkeypatch.setattr(module, "icbics_sort", counting)
+    rc, _, _ = run(capsys, "verify", "--n-max", "6")
+    assert rc == 0
+    # The survey sorts each of the 2! + ... + 6! = 872 permutations once;
+    # correctness adds only n = 0, 1 and the 120 inputs over {1,2,3}ⁿ,
+    # theorem3 the 5 sorted inputs, and the instability search 5 inputs.
+    assert len(calls) == 872 + 2 + 120 + 5 + 5
 
 
 # -------------------------------------------------------------- bench

@@ -105,6 +105,24 @@ def test_exhaustive_summary_records_first_violation_per_bound(monkeypatch):
     assert summary.first_violations == {"theorem3": (1, (1, 2, 3, 4)), "theorem4": (19, (4, 1, 2, 3))}
 
 
+def test_exhaustive_summary_records_first_unsorted_output(monkeypatch):
+    # Outputs reversed on two inputs: only the first, the 4th of the 24
+    # permutations of length 4, is recorded, and no bound counts it.
+    real = sortlab.oracle.icbics_sort
+    reversed_on = {(1, 3, 4, 2), (4, 3, 2, 1)}
+
+    def reversing(values, observer=None):
+        report = real(values, observer)
+        if tuple(values) in reversed_on:
+            return dataclasses.replace(report, output=report.output[::-1])
+        return report
+
+    monkeypatch.setattr(sortlab.oracle, "icbics_sort", reversing)
+    summary = exhaustive_summary(4)
+    assert summary.bound_violations == 0
+    assert summary.first_violations == {"correctness": (4, (1, 3, 4, 2))}
+
+
 def test_exhaustive_summary_guards():
     with pytest.raises(ValueError):
         exhaustive_summary(1)
