@@ -49,6 +49,7 @@ from .sortcore import (
 from .verify import (
     CHECK_IDS,
     VerificationVerdict,
+    _check_replay,
     check_lemma1,
     check_pi_invariant,
     check_theorem_bounds,
@@ -190,6 +191,8 @@ def cmd_sort(args: argparse.Namespace) -> int:
 
 # exhaustive_summary, cached for one verify run.
 Survey = Callable[[int], OracleSummary]
+# _replay_sweep over the run's selected replay claims, made once per verify run.
+Replay = Callable[[], dict[str, VerificationVerdict]]
 Check = Callable[[Sequence[int]], VerificationVerdict]
 
 
@@ -216,6 +219,30 @@ def _permutations(n_min: int, n_max: int) -> Iterable[tuple[int, ...]]:
     return chain.from_iterable(enumerate_permutations(n) for n in range(n_min, n_max + 1))
 
 
+def _replay_sweep(n_max: int, claims: tuple[str, ...]) -> dict[str, VerificationVerdict]:
+    """The sweeps of ``claims``, ``pi``, ``lemma1`` or both, over every
+    permutation of lengths 1..``n_max``, by claim id.  With both, each
+    permutation gets one traced run that checks the two; once one fails,
+    the other goes on alone through its own per-input check, so each
+    verdict is what its own sweep reports."""
+    inputs = iter(_permutations(1, n_max))
+    verdicts = {}
+    examined = 0
+    if len(claims) > 1:
+        for values in inputs:
+            examined += 1
+            if failures := _check_replay(values, claims):
+                for claim, counterexample in failures.items():
+                    verdicts[claim] = VerificationVerdict(claim, False, counterexample, {"inputs_examined": examined})
+                break
+    # Looked up here, not bound at import, so that a replaced module attribute takes effect.
+    alone = {"pi": check_pi_invariant, "lemma1": check_lemma1}
+    for claim in claims:
+        if claim not in verdicts:
+            verdicts[claim] = _sweep(claim, alone[claim], inputs, examined)
+    return verdicts
+
+
 def _survey_failure(
     check_id: str, summary: OracleSummary, examined: int, rebuild: Check
 ) -> Optional[VerificationVerdict]:
@@ -230,7 +257,7 @@ def _survey_failure(
     return VerificationVerdict(check_id, False, counterexample, {"inputs_examined": examined + ordinal})
 
 
-def _verify_correctness(n_max: int, survey: Survey) -> VerificationVerdict:
+def _verify_correctness(n_max: int, survey: Survey, replay: Replay) -> VerificationVerdict:
     # Lengths 0 and 1, then the survey's permutations of 2..n_max, then small inputs
     # over a 3-value alphabet, which exercise duplicate handling as permutations cannot.
     trivial = _sweep("correctness", _check_sorted, _permutations(0, 1))
@@ -246,7 +273,7 @@ def _verify_correctness(n_max: int, survey: Survey) -> VerificationVerdict:
     return _sweep("correctness", _check_sorted, chain.from_iterable(duplicates), examined)
 
 
-def _verify_theorem2(n_max: int, survey: Survey) -> VerificationVerdict:
+def _verify_theorem2(n_max: int, survey: Survey, replay: Replay) -> VerificationVerdict:
     per_n = {}
     for n in range(2, n_max + 1):
         summary = survey(n)
@@ -270,7 +297,7 @@ def _verify_theorem2(n_max: int, survey: Survey) -> VerificationVerdict:
     return VerificationVerdict("theorem2", True, details={"per_n": per_n})
 
 
-def _verify_theorem3(n_max: int, survey: Survey) -> VerificationVerdict:
+def _verify_theorem3(n_max: int, survey: Survey, replay: Replay) -> VerificationVerdict:
     examined = 0
     for n in range(2, n_max + 1):
         summary = survey(n)
@@ -286,7 +313,7 @@ def _verify_theorem3(n_max: int, survey: Survey) -> VerificationVerdict:
     return VerificationVerdict("theorem3", True, details=details)
 
 
-def _verify_theorem4(n_max: int, survey: Survey) -> VerificationVerdict:
+def _verify_theorem4(n_max: int, survey: Survey, replay: Replay) -> VerificationVerdict:
     per_n = {}
     examined = 0
     for n in range(2, n_max + 1):
@@ -311,7 +338,7 @@ def _verify_theorem4(n_max: int, survey: Survey) -> VerificationVerdict:
     return VerificationVerdict("theorem4", True, details={"per_n": per_n, "inputs_examined": examined})
 
 
-def _verify_instability(n_max: int, survey: Survey) -> VerificationVerdict:
+def _verify_instability(n_max: int, survey: Survey, replay: Replay) -> VerificationVerdict:
     # Witnesses need duplicate keys; none exists at length 2, and a
     # 3-element search already succeeds, so the search always stops at 3.
     limit = 3
@@ -330,13 +357,13 @@ def _verify_instability(n_max: int, survey: Survey) -> VerificationVerdict:
     return VerificationVerdict("instability", True, details=details)
 
 
-# One entry per check id: called with --n-max and the run's cached
-# exhaustive survey.  The per-input checks are looked up when the entry
-# runs, not bound here, so that a replaced module attribute takes effect.
+# One entry per check id: called with --n-max, the run's cached exhaustive
+# survey and its cached replay sweep.  The per-input checks are looked up when
+# the entry runs, not bound here, so that a replaced module attribute takes effect.
 _CHECKS = {
     "correctness": _verify_correctness,
-    "pi": lambda n_max, survey: _sweep("pi", check_pi_invariant, _permutations(1, n_max)),
-    "lemma1": lambda n_max, survey: _sweep("lemma1", check_lemma1, _permutations(1, n_max)),
+    "pi": lambda n_max, survey, replay: replay()["pi"],
+    "lemma1": lambda n_max, survey, replay: replay()["lemma1"],
     "theorem2": _verify_theorem2,
     "theorem3": _verify_theorem3,
     "theorem4": _verify_theorem4,
@@ -346,12 +373,14 @@ _CHECKS = {
 
 def cmd_verify(args: argparse.Namespace) -> int:
     selected = args.checks if args.checks is not None else list(CHECK_IDS)
-    # theorem2-4 read one exhaustive survey per n, made once per run.
+    # theorem2-4 read one exhaustive survey per n, and pi and lemma1 one replay sweep, each made once per run.
     survey = lru_cache(maxsize=None)(exhaustive_summary)
+    claims = tuple(claim for claim in ("pi", "lemma1") if claim in selected)
+    replay = lru_cache(maxsize=None)(partial(_replay_sweep, args.n_max, claims))
     results = {}
     all_passed = True
     for check_id in selected:
-        verdict = _CHECKS[check_id](args.n_max, survey)
+        verdict = _CHECKS[check_id](args.n_max, survey, replay)
         results[check_id] = {
             "passed": verdict.passed,
             "counterexample": verdict.counterexample,
@@ -529,7 +558,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--input",
         required=True,
         help="comma-separated integers, or a path to a file holding one per line (or one comma-separated "
-        "line); write ./NAME for a file whose name also reads as integers",
+        "line); write ./NAME for a file whose name also reads as integers, and --input=-3,2 for a list "
+        "that starts with a minus sign",
     )
     p_sort.add_argument("--trace", metavar="PATH", help="also write the event trace to PATH as JSON lines")
     p_sort.set_defaults(handler=cmd_sort)

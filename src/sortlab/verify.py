@@ -4,10 +4,13 @@ Each check runs ``icbics_sort`` on one input and validates a claimed
 property of the run: the sorted-prefix invariant after every outer
 pass, the +1/-1 inversion delta of every swap, the closed-form swap
 bounds, or (by search over tagged inputs) the fact that the sort is
-not stable.  Checks return a :class:`VerificationVerdict`; a failing
-verdict always carries a replayable counterexample.  ``sortlab verify``
-reports each check's whole sweep as one verdict too, with what the sweep
-covered (inputs examined, per-n extremes) in its ``details``.
+not stable.  The first two, ``pi`` and ``lemma1``, share one observer
+that replays each swap once and checks either claim or both on the same
+traced run, so ``sortlab verify`` sorts each permutation once for the
+two.  Checks return a :class:`VerificationVerdict`; a failing verdict
+always carries a replayable counterexample.  ``sortlab verify`` reports
+each check's whole sweep as one verdict too, with what the sweep covered
+(inputs examined, per-n extremes) in its ``details``.
 
 Checks that assume distinct elements raise ``ValueError`` when handed
 duplicates instead of producing an undefined verdict.
@@ -56,69 +59,98 @@ def _require_distinct(values: Sequence, check_id: str) -> None:
 
 
 class _Violation(Exception):
-    """Raised by a check's observer to stop the sort at the first
-    violation; carries the counterexample."""
+    """Raised by the replay observer to stop the sort once every claim it
+    checks has failed."""
 
-    def __init__(self, counterexample: dict) -> None:
-        super().__init__(counterexample)
-        self.counterexample = counterexample
+
+def _check_replay(values: Sequence[int], claims: tuple[str, ...]) -> dict[str, dict]:
+    """Sort ``values`` once, traced, and check each claim in ``claims``
+    ("pi", "lemma1", or both) on that one run.
+
+    One observer replays each swap as it arrives.  Before applying a
+    swap it checks Lemma 1 on it; whenever the outer position ``i`` of
+    the events changes, and once after the run, it checks the ``pi``
+    boundary.  A claim that fails keeps its first counterexample and is
+    checked no further; the sort stops once no claim is left open.
+    Returns the counterexample of each claim that failed, by claim id.
+    """
+    _require_distinct(values, " and ".join(claims))
+    work = list(values)
+    top = max(work) if work else None
+    failures: dict[str, dict] = {}
+    pi_open = "pi" in claims
+    lemma1_open = "lemma1" in claims
+    current = None
+
+    def fail(claim: str, counterexample: dict) -> None:
+        nonlocal pi_open, lemma1_open
+        failures[claim] = counterexample
+        if claim == "pi":
+            pi_open = False
+        else:
+            lemma1_open = False
+        if len(failures) == len(claims):
+            raise _Violation
+
+    def check_boundary(outer: int) -> None:
+        # Prefix work[0 .. outer-1] sorted, and work[outer-1] is the array max.
+        for p in range(outer - 1):
+            if work[p] > work[p + 1]:
+                expected, observed = "non-decreasing prefix", work[:outer]
+                break
+        else:
+            if work[outer - 1] == top:
+                return
+            expected, observed = top, work[outer - 1]
+        fail("pi", {"input": list(values), "outer": outer, "expected": expected, "observed": observed})
+
+    def observe(event: TraceEvent) -> None:
+        nonlocal current
+        i = event.i
+        if i != current:
+            if pi_open and current is not None:
+                check_boundary(current)
+            current = i
+        if event.kind == KIND_SWAP:
+            i -= 1
+            j = event.j - 1
+            if lemma1_open:
+                observed = inversion_delta(work, i, j)
+                expected = 1 if event.phase == PHASE_SELECTION else -1
+                if observed != expected:
+                    fail(
+                        "lemma1",
+                        {
+                            "input": list(values),
+                            "seq": event.seq,
+                            "phase": event.phase,
+                            "expected": expected,
+                            "observed": observed,
+                        },
+                    )
+            work[i], work[j] = work[j], work[i]
+
+    try:
+        icbics_sort(values, observe)
+        if pi_open and current is not None:
+            check_boundary(current)
+    except _Violation:
+        pass
+    return failures
 
 
 def check_pi_invariant(values: Sequence[int]) -> VerificationVerdict:
     """After each outer pass i, the prefix A[1..i] must be sorted and
     A[i] must be the maximum of the whole array.
 
-    Runs ``icbics_sort`` with an observer that replays each swap as it
-    arrives and asserts both facts whenever the outer position ``i`` of
-    the events changes and once after the run (n assertions for length
-    n).  The first violation stops the run.
+    Runs ``icbics_sort`` with the replay observer, ``pi`` its one open
+    claim: the observer replays each swap as it arrives and asserts both
+    facts whenever the outer position ``i`` of the events changes and
+    once after the run (n assertions for length n).  The first violation
+    stops the run.
     """
-    _require_distinct(values, "pi")
-    work = list(values)
-    top = max(work) if work else None
-    current = None
-
-    def check_boundary(outer: int) -> None:
-        # Prefix work[0 .. outer-1] sorted, and work[outer-1] is the array max.
-        for p in range(outer - 1):
-            if work[p] > work[p + 1]:
-                raise _Violation(
-                    {
-                        "input": list(values),
-                        "outer": outer,
-                        "expected": "non-decreasing prefix",
-                        "observed": work[:outer],
-                    }
-                )
-        if work[outer - 1] != top:
-            raise _Violation(
-                {
-                    "input": list(values),
-                    "outer": outer,
-                    "expected": top,
-                    "observed": work[outer - 1],
-                }
-            )
-
-    def observe(event: TraceEvent) -> None:
-        nonlocal current
-        i = event.i
-        if i != current:
-            if current is not None:
-                check_boundary(current)
-            current = i
-        if event.kind == KIND_SWAP:
-            i -= 1
-            j = event.j - 1
-            work[i], work[j] = work[j], work[i]
-
-    try:
-        icbics_sort(values, observe)
-        if current is not None:
-            check_boundary(current)
-    except _Violation as stop:
-        return VerificationVerdict("pi", False, stop.counterexample)
-    return VerificationVerdict("pi", True)
+    counterexample = _check_replay(values, ("pi",)).get("pi")
+    return VerificationVerdict("pi", counterexample is None, counterexample)
 
 
 def check_lemma1(values: Sequence[int]) -> VerificationVerdict:
@@ -126,38 +158,14 @@ def check_lemma1(values: Sequence[int]) -> VerificationVerdict:
     exactly one and every insertion-phase swap must lower it by exactly
     one.
 
-    Runs ``icbics_sort`` with an observer that, at each swap as it
-    arrives, measures the swap's exact inversion change with
-    ``inversion_delta`` (O(q - p), no full recount) on the replayed
-    array, then applies the swap.  The first violation stops the run.
+    Runs ``icbics_sort`` with the replay observer, ``lemma1`` its one
+    open claim: at each swap as it arrives, the observer measures the
+    swap's exact inversion change with ``inversion_delta`` (O(q - p), no
+    full recount) on the replayed array, then applies the swap.  The
+    first violation stops the run.
     """
-    _require_distinct(values, "lemma1")
-    work = list(values)
-
-    def observe(event: TraceEvent) -> None:
-        if event.kind != KIND_SWAP:
-            return
-        i = event.i - 1
-        j = event.j - 1
-        observed = inversion_delta(work, i, j)
-        expected = 1 if event.phase == PHASE_SELECTION else -1
-        if observed != expected:
-            raise _Violation(
-                {
-                    "input": list(values),
-                    "seq": event.seq,
-                    "phase": event.phase,
-                    "expected": expected,
-                    "observed": observed,
-                }
-            )
-        work[i], work[j] = work[j], work[i]
-
-    try:
-        icbics_sort(values, observe)
-    except _Violation as stop:
-        return VerificationVerdict("lemma1", False, stop.counterexample)
-    return VerificationVerdict("lemma1", True)
+    counterexample = _check_replay(values, ("lemma1",)).get("lemma1")
+    return VerificationVerdict("lemma1", counterexample is None, counterexample)
 
 
 def check_theorem_bounds(values: Sequence[int]) -> VerificationVerdict:

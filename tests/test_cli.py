@@ -237,6 +237,17 @@ def test_sort_refuses_an_input_that_is_both_values_and_a_file(tmp_path, monkeypa
     assert json.loads(out)["output"] == [8, 9]
 
 
+def test_sort_input_led_by_a_minus_sign_needs_the_equals_form(capsys):
+    # argparse takes "-3,2" for an option, since it is not one negative number.
+    rc, out, err = run(capsys, "sort", "--input", "-3,2")
+    assert rc == 2
+    assert out == ""
+    assert "--input: expected one argument" in err
+    rc, out, _ = run(capsys, "sort", "--input=-3,2")
+    assert rc == 0
+    assert json.loads(out)["output"] == [-3, 2]
+
+
 def test_sort_flags_an_output_that_lost_an_element(capsys, monkeypatch):
     # Pairwise order alone would call [1, 3] sorted.
     info = cli.ALGORITHMS["icbics"]
@@ -672,6 +683,118 @@ def test_verify_sorts_each_permutation_once(capsys, monkeypatch):
     # correctness adds only n = 0, 1 and the 120 inputs over {1,2,3}ⁿ,
     # theorem3 the 5 sorted inputs, and the instability search 5 inputs.
     assert len(calls) == 872 + 2 + 120 + 5 + 5
+
+
+@pytest.mark.parametrize("checks", [[], ["--checks", "pi,lemma1"], ["--checks", "pi"], ["--checks", "lemma1"]])
+def test_verify_pi_and_lemma1_share_one_traced_sort_per_permutation(capsys, monkeypatch, checks):
+    traced = []
+    real = sortlab.sortcore.icbics_sort
+
+    def counting(values, observer=None):
+        if observer is not None:
+            traced.append(tuple(values))
+        return real(values, observer)
+
+    for module in (sortlab.oracle, sortlab.verify, cli):
+        monkeypatch.setattr(module, "icbics_sort", counting)
+    rc, _, _ = run(capsys, "verify", "--n-max", "6", *checks)
+    assert rc == 0
+    # 1! + 2! + ... + 6! permutations, each sorted once with an observer.
+    assert len(traced) == len(set(traced)) == 873
+
+
+def drop_first_swap(events):
+    first = next(k for k, e in enumerate(events) if e.kind == KIND_SWAP)
+    return events[:first] + events[first + 1 :]
+
+
+def drop_last_swap(events):
+    last = max(k for k, e in enumerate(events) if e.kind == KIND_SWAP)
+    return events[:last] + events[last + 1 :]
+
+
+def relabel_first_insertion_swap(events):
+    first = next(k for k, e in enumerate(events) if e.kind == KIND_SWAP and e.phase == PHASE_INSERTION)
+    return events[:first] + [events[first]._replace(phase=PHASE_SELECTION)] + events[first + 1 :]
+
+
+def pi_failure(values, outer, expected, observed):
+    return {"input": list(values), "outer": outer, "expected": expected, "observed": observed}
+
+
+def lemma1_failure(values, seq, phase, expected, observed):
+    return {"input": list(values), "seq": seq, "phase": phase, "expected": expected, "observed": observed}
+
+
+def failed(counterexample, examined):
+    return {"passed": False, "counterexample": counterexample, "details": {"inputs_examined": examined}}
+
+
+PREFIX = "non-decreasing prefix"
+
+
+@pytest.mark.parametrize(
+    "rewrites, pi, lemma1",
+    [
+        pytest.param(
+            {(3, 1, 2): drop_last_swap, (2, 4, 1, 5, 3): relabel_first_insertion_swap},
+            failed(pi_failure((3, 1, 2), 3, PREFIX, [1, 3, 2]), 8),
+            failed(lemma1_failure((2, 4, 1, 5, 3), 8, PHASE_SELECTION, 1, -1), 71),
+            id="pi-fails-first",
+        ),
+        pytest.param(
+            {(3, 1, 2): relabel_first_insertion_swap, (2, 4, 1, 5, 3): drop_last_swap},
+            failed(pi_failure((2, 4, 1, 5, 3), 5, PREFIX, [1, 2, 3, 5, 4]), 71),
+            failed(lemma1_failure((3, 1, 2), 4, PHASE_SELECTION, 1, -1), 8),
+            id="lemma1-fails-first",
+        ),
+        pytest.param(
+            # In the run, pi fails at the boundary of pass 1, before the swap at seq 6.
+            {(2, 4, 1, 3): drop_first_swap},
+            failed(pi_failure((2, 4, 1, 3), 1, 4, 2), 20),
+            failed(lemma1_failure((2, 4, 1, 3), 6, PHASE_INSERTION, -1, 1), 20),
+            id="both-fail-on-one-input-pi-first-in-the-run",
+        ),
+        pytest.param(
+            # In the run, lemma1 fails at seq 6, before pi's last boundary.
+            {(2, 4, 1, 3): lambda events: drop_last_swap(relabel_first_insertion_swap(events))},
+            failed(pi_failure((2, 4, 1, 3), 4, PREFIX, [1, 2, 4, 3]), 20),
+            failed(lemma1_failure((2, 4, 1, 3), 6, PHASE_SELECTION, 1, -1), 20),
+            id="both-fail-on-one-input-lemma1-first-in-the-run",
+        ),
+        pytest.param(
+            {(2, 4, 1, 3): drop_last_swap},
+            failed(pi_failure((2, 4, 1, 3), 4, PREFIX, [1, 2, 4, 3]), 20),
+            {"passed": True, "counterexample": None, "details": {"inputs_examined": 153}},
+            id="pi-alone-fails",
+        ),
+    ],
+)
+def test_verify_pi_and_lemma1_report_together_as_alone(capsys, monkeypatch, rewrites, pi, lemma1):
+    real = sortlab.sortcore.icbics_sort
+
+    def rewritten(values, observer=None):
+        # The trace of each input named in ``rewrites`` reaches the observer rewritten.
+        rewrite = rewrites.get(tuple(values))
+        if observer is None or rewrite is None:
+            return real(values, observer)
+        recorder = TraceRecorder()
+        report = real(values, recorder)
+        for event in rewrite(recorder.events):
+            observer(event)
+        return report
+
+    monkeypatch.setattr(sortlab.verify, "icbics_sort", rewritten)
+
+    def reported(checks):
+        rc, out, _ = run(capsys, "verify", "--checks", checks, "--n-max", "5")
+        entries = json.loads(out)["checks"]
+        assert rc == (0 if all(entry["passed"] for entry in entries.values()) else 1)
+        return entries
+
+    assert reported("pi,lemma1") == {"pi": pi, "lemma1": lemma1}
+    assert reported("pi") == {"pi": pi}
+    assert reported("lemma1") == {"lemma1": lemma1}
 
 
 # -------------------------------------------------------------- bench
