@@ -191,8 +191,6 @@ def cmd_sort(args: argparse.Namespace) -> int:
 
 # exhaustive_summary, cached for one verify run.
 Survey = Callable[[int], OracleSummary]
-# _replay_sweep over the run's selected replay claims, made once per verify run.
-Replay = Callable[[], dict[str, VerificationVerdict]]
 Check = Callable[[Sequence[int]], VerificationVerdict]
 
 
@@ -220,8 +218,8 @@ def _permutations(n_min: int, n_max: int) -> Iterable[tuple[int, ...]]:
 
 
 def _replay_sweep(n_max: int, claims: tuple[str, ...]) -> dict[str, VerificationVerdict]:
-    """The sweeps of ``claims``, ``pi``, ``lemma1`` or both, over every
-    permutation of lengths 1..``n_max``, by claim id.  With both, each
+    """The sweeps of ``claims``, ``pi``, ``lemma1``, both or neither, over
+    every permutation of lengths 1..``n_max``, by claim id.  With both, each
     permutation gets one traced run that checks the two; once one fails,
     the other goes on alone through its own per-input check, so each
     verdict is what its own sweep reports."""
@@ -257,7 +255,7 @@ def _survey_failure(
     return VerificationVerdict(check_id, False, counterexample, {"inputs_examined": examined + ordinal})
 
 
-def _verify_correctness(n_max: int, survey: Survey, replay: Replay) -> VerificationVerdict:
+def _verify_correctness(n_max: int, survey: Survey) -> VerificationVerdict:
     # Lengths 0 and 1, then the survey's permutations of 2..n_max, then small inputs
     # over a 3-value alphabet, which exercise duplicate handling as permutations cannot.
     trivial = _sweep("correctness", _check_sorted, _permutations(0, 1))
@@ -273,7 +271,7 @@ def _verify_correctness(n_max: int, survey: Survey, replay: Replay) -> Verificat
     return _sweep("correctness", _check_sorted, chain.from_iterable(duplicates), examined)
 
 
-def _verify_theorem2(n_max: int, survey: Survey, replay: Replay) -> VerificationVerdict:
+def _verify_theorem2(n_max: int, survey: Survey) -> VerificationVerdict:
     per_n = {}
     for n in range(2, n_max + 1):
         summary = survey(n)
@@ -297,7 +295,7 @@ def _verify_theorem2(n_max: int, survey: Survey, replay: Replay) -> Verification
     return VerificationVerdict("theorem2", True, details={"per_n": per_n})
 
 
-def _verify_theorem3(n_max: int, survey: Survey, replay: Replay) -> VerificationVerdict:
+def _verify_theorem3(n_max: int, survey: Survey) -> VerificationVerdict:
     examined = 0
     for n in range(2, n_max + 1):
         summary = survey(n)
@@ -313,7 +311,7 @@ def _verify_theorem3(n_max: int, survey: Survey, replay: Replay) -> Verification
     return VerificationVerdict("theorem3", True, details=details)
 
 
-def _verify_theorem4(n_max: int, survey: Survey, replay: Replay) -> VerificationVerdict:
+def _verify_theorem4(n_max: int, survey: Survey) -> VerificationVerdict:
     per_n = {}
     examined = 0
     for n in range(2, n_max + 1):
@@ -338,7 +336,7 @@ def _verify_theorem4(n_max: int, survey: Survey, replay: Replay) -> Verification
     return VerificationVerdict("theorem4", True, details={"per_n": per_n, "inputs_examined": examined})
 
 
-def _verify_instability(n_max: int, survey: Survey, replay: Replay) -> VerificationVerdict:
+def _verify_instability(n_max: int, survey: Survey) -> VerificationVerdict:
     # Witnesses need duplicate keys; none exists at length 2, and a
     # 3-element search already succeeds, so the search always stops at 3.
     limit = 3
@@ -357,13 +355,10 @@ def _verify_instability(n_max: int, survey: Survey, replay: Replay) -> Verificat
     return VerificationVerdict("instability", True, details=details)
 
 
-# One entry per check id: called with --n-max, the run's cached exhaustive
-# survey and its cached replay sweep.  The per-input checks are looked up when
-# the entry runs, not bound here, so that a replaced module attribute takes effect.
+# One entry per check id but pi and lemma1, which come from _replay_sweep:
+# called with --n-max and the run's cached exhaustive survey.
 _CHECKS = {
     "correctness": _verify_correctness,
-    "pi": lambda n_max, survey, replay: replay()["pi"],
-    "lemma1": lambda n_max, survey, replay: replay()["lemma1"],
     "theorem2": _verify_theorem2,
     "theorem3": _verify_theorem3,
     "theorem4": _verify_theorem4,
@@ -373,14 +368,14 @@ _CHECKS = {
 
 def cmd_verify(args: argparse.Namespace) -> int:
     selected = args.checks if args.checks is not None else list(CHECK_IDS)
-    # theorem2-4 read one exhaustive survey per n, and pi and lemma1 one replay sweep, each made once per run.
+    # theorem2-4 read one exhaustive survey per n, made once per run.  pi and lemma1
+    # come from one replay sweep over the selected ones, made here; none runs if neither is selected.
     survey = lru_cache(maxsize=None)(exhaustive_summary)
-    claims = tuple(claim for claim in ("pi", "lemma1") if claim in selected)
-    replay = lru_cache(maxsize=None)(partial(_replay_sweep, args.n_max, claims))
+    replayed = _replay_sweep(args.n_max, tuple(claim for claim in ("pi", "lemma1") if claim in selected))
     results = {}
     all_passed = True
     for check_id in selected:
-        verdict = _CHECKS[check_id](args.n_max, survey, replay)
+        verdict = replayed[check_id] if check_id in replayed else _CHECKS[check_id](args.n_max, survey)
         results[check_id] = {
             "passed": verdict.passed,
             "counterexample": verdict.counterexample,

@@ -7,7 +7,8 @@ bounds, or (by search over tagged inputs) the fact that the sort is
 not stable.  The first two, ``pi`` and ``lemma1``, share one observer
 that replays each swap once and checks either claim or both on the same
 traced run, so ``sortlab verify`` sorts each permutation once for the
-two.  Checks return a :class:`VerificationVerdict`; a failing verdict
+two; the run goes to its end, and only each claim's first violation is
+reported.  Checks return a :class:`VerificationVerdict`; a failing verdict
 always carries a replayable counterexample.  ``sortlab verify`` reports
 each check's whole sweep as one verdict too, with what the sweep covered
 (inputs examined, per-n extremes) in its ``details``.
@@ -58,11 +59,6 @@ def _require_distinct(values: Sequence, check_id: str) -> None:
         raise ValueError(f"{check_id} check requires distinct elements, got duplicates: {list(values)!r}")
 
 
-class _Violation(Exception):
-    """Raised by the replay observer to stop the sort once every claim it
-    checks has failed."""
-
-
 def _check_replay(values: Sequence[int], claims: tuple[str, ...]) -> dict[str, dict]:
     """Sort ``values`` once, traced, and check each claim in ``claims``
     ("pi", "lemma1", or both) on that one run.
@@ -70,27 +66,16 @@ def _check_replay(values: Sequence[int], claims: tuple[str, ...]) -> dict[str, d
     One observer replays each swap as it arrives.  Before applying a
     swap it checks Lemma 1 on it; whenever the outer position ``i`` of
     the events changes, and once after the run, it checks the ``pi``
-    boundary.  A claim that fails keeps its first counterexample and is
-    checked no further; the sort stops once no claim is left open.
+    boundary.  The run always goes to its end; a claim that fails leaves
+    the open set with its first counterexample and is checked no further.
     Returns the counterexample of each claim that failed, by claim id.
     """
     _require_distinct(values, " and ".join(claims))
     work = list(values)
     top = max(work) if work else None
+    open_claims = set(claims)
     failures: dict[str, dict] = {}
-    pi_open = "pi" in claims
-    lemma1_open = "lemma1" in claims
     current = None
-
-    def fail(claim: str, counterexample: dict) -> None:
-        nonlocal pi_open, lemma1_open
-        failures[claim] = counterexample
-        if claim == "pi":
-            pi_open = False
-        else:
-            lemma1_open = False
-        if len(failures) == len(claims):
-            raise _Violation
 
     def check_boundary(outer: int) -> None:
         # Prefix work[0 .. outer-1] sorted, and work[outer-1] is the array max.
@@ -102,40 +87,36 @@ def _check_replay(values: Sequence[int], claims: tuple[str, ...]) -> dict[str, d
             if work[outer - 1] == top:
                 return
             expected, observed = top, work[outer - 1]
-        fail("pi", {"input": list(values), "outer": outer, "expected": expected, "observed": observed})
+        open_claims.discard("pi")
+        failures["pi"] = {"input": list(values), "outer": outer, "expected": expected, "observed": observed}
 
     def observe(event: TraceEvent) -> None:
         nonlocal current
         i = event.i
         if i != current:
-            if pi_open and current is not None:
+            if "pi" in open_claims and current is not None:
                 check_boundary(current)
             current = i
         if event.kind == KIND_SWAP:
             i -= 1
             j = event.j - 1
-            if lemma1_open:
+            if "lemma1" in open_claims:
                 observed = inversion_delta(work, i, j)
                 expected = 1 if event.phase == PHASE_SELECTION else -1
                 if observed != expected:
-                    fail(
-                        "lemma1",
-                        {
-                            "input": list(values),
-                            "seq": event.seq,
-                            "phase": event.phase,
-                            "expected": expected,
-                            "observed": observed,
-                        },
-                    )
+                    open_claims.discard("lemma1")
+                    failures["lemma1"] = {
+                        "input": list(values),
+                        "seq": event.seq,
+                        "phase": event.phase,
+                        "expected": expected,
+                        "observed": observed,
+                    }
             work[i], work[j] = work[j], work[i]
 
-    try:
-        icbics_sort(values, observe)
-        if pi_open and current is not None:
-            check_boundary(current)
-    except _Violation:
-        pass
+    icbics_sort(values, observe)
+    if "pi" in open_claims and current is not None:
+        check_boundary(current)
     return failures
 
 
@@ -146,8 +127,8 @@ def check_pi_invariant(values: Sequence[int]) -> VerificationVerdict:
     Runs ``icbics_sort`` with the replay observer, ``pi`` its one open
     claim: the observer replays each swap as it arrives and asserts both
     facts whenever the outer position ``i`` of the events changes and
-    once after the run (n assertions for length n).  The first violation
-    stops the run.
+    once after the run (n assertions for length n).  The run goes to its
+    end; only the first violation is reported.
     """
     counterexample = _check_replay(values, ("pi",)).get("pi")
     return VerificationVerdict("pi", counterexample is None, counterexample)
@@ -161,8 +142,8 @@ def check_lemma1(values: Sequence[int]) -> VerificationVerdict:
     Runs ``icbics_sort`` with the replay observer, ``lemma1`` its one
     open claim: at each swap as it arrives, the observer measures the
     swap's exact inversion change with ``inversion_delta`` (O(q - p), no
-    full recount) on the replayed array, then applies the swap.  The
-    first violation stops the run.
+    full recount) on the replayed array, then applies the swap.  The run
+    goes to its end; only the first violation is reported.
     """
     counterexample = _check_replay(values, ("lemma1",)).get("lemma1")
     return VerificationVerdict("lemma1", counterexample is None, counterexample)

@@ -685,8 +685,18 @@ def test_verify_sorts_each_permutation_once(capsys, monkeypatch):
     assert len(calls) == 872 + 2 + 120 + 5 + 5
 
 
-@pytest.mark.parametrize("checks", [[], ["--checks", "pi,lemma1"], ["--checks", "pi"], ["--checks", "lemma1"]])
-def test_verify_pi_and_lemma1_share_one_traced_sort_per_permutation(capsys, monkeypatch, checks):
+@pytest.mark.parametrize(
+    "checks, expected",
+    [
+        ([], 873),
+        (["--checks", "pi,lemma1"], 873),
+        (["--checks", "pi"], 873),
+        (["--checks", "lemma1"], 873),
+        (["--checks", "correctness,theorem2,theorem3,theorem4,instability"], 0),
+    ],
+    ids=[f"checks{k}" for k in range(5)],
+)
+def test_verify_pi_and_lemma1_share_one_traced_sort_per_permutation(capsys, monkeypatch, checks, expected):
     traced = []
     real = sortlab.sortcore.icbics_sort
 
@@ -699,8 +709,9 @@ def test_verify_pi_and_lemma1_share_one_traced_sort_per_permutation(capsys, monk
         monkeypatch.setattr(module, "icbics_sort", counting)
     rc, _, _ = run(capsys, "verify", "--n-max", "6", *checks)
     assert rc == 0
-    # 1! + 2! + ... + 6! permutations, each sorted once with an observer.
-    assert len(traced) == len(set(traced)) == 873
+    # 1! + 2! + ... + 6! permutations, each sorted once with an observer;
+    # none when neither pi nor lemma1 is selected.
+    assert len(traced) == len(set(traced)) == expected
 
 
 def drop_first_swap(events):

@@ -148,6 +148,38 @@ def test_pi_catches_a_dropped_swap(monkeypatch):
     }
 
 
+def relabel_every_insertion_swap(events):
+    return [e._replace(phase="selection") if e.kind == "swap" and e.phase == "insertion" else e for e in events]
+
+
+def drop_every_swap(events):
+    return [e for e in events if e.kind != "swap"]
+
+
+def test_lemma1_reports_only_the_first_of_several_breaks(monkeypatch):
+    # Every insertion swap of [5, 2, 6, 1, 4, 3] now claims +1 and each
+    # removes an inversion; the first of them, at seq 8, is the one reported.
+    monkeypatch.setattr(verify, "icbics_sort", rewritten_sort(relabel_every_insertion_swap))
+    verdict = check_lemma1([5, 2, 6, 1, 4, 3])
+    assert not verdict.passed
+    assert verdict.counterexample == {
+        "input": [5, 2, 6, 1, 4, 3],
+        "seq": 8,
+        "phase": "selection",
+        "expected": 1,
+        "observed": -1,
+    }
+
+
+def test_pi_reports_only_the_first_of_several_breaks(monkeypatch):
+    # With no swap the array stays [5, 2, 6, 1, 4, 3], which breaks pi at
+    # every boundary; the first, after outer pass 1, is the one reported.
+    monkeypatch.setattr(verify, "icbics_sort", rewritten_sort(drop_every_swap))
+    verdict = check_pi_invariant([5, 2, 6, 1, 4, 3])
+    assert not verdict.passed
+    assert verdict.counterexample == {"input": [5, 2, 6, 1, 4, 3], "outer": 1, "expected": 6, "observed": 5}
+
+
 def test_rewrites_leave_untouched_runs_passing(monkeypatch):
     # The wrapper alone, delivering every event, changes no verdict.
     monkeypatch.setattr(verify, "icbics_sort", rewritten_sort(list))
