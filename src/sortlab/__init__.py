@@ -30,7 +30,6 @@ from .sortcore import (
     AlgorithmInfo,
     SortReport,
     TraceEvent,
-    TraceRecorder,
     exchange_sort,
     icbics_desc_ineq,
     icbics_desc_loopswap,
@@ -62,7 +61,6 @@ __all__ = [
     "SortReport",
     "Tagged",
     "TraceEvent",
-    "TraceRecorder",
     "VerificationVerdict",
     "check_lemma1",
     "check_pi_invariant",

@@ -19,7 +19,7 @@ import random
 import sys
 import time
 from contextlib import nullcontext
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, astuple, dataclass, fields
 from functools import lru_cache, partial
 from itertools import chain, product
 from pathlib import Path
@@ -60,9 +60,6 @@ from .verify import (
 # --samples; large enough that the bounds are not trivially loose,
 # small enough that thousands of runs stay cheap.
 RANDOM_SUITE_N = 64
-
-BENCH_COLUMNS = ("algorithm", "n", "rep", "seed", "comparisons", "swaps", "wall_ns")
-
 
 # ---------------------------------------------------------------- sort
 
@@ -129,18 +126,21 @@ def load_trace(path: str) -> list[TraceEvent]:
     not one JSON value (trailing data included) or on a malformed event:
     a missing key, a ``kind`` or ``phase`` that no sorter emits, a
     ``seq``, ``i`` or ``j`` that is not an integer (``bool`` included),
-    or a ``seq`` that is negative or does not rise strictly.
+    or a ``seq`` that is negative or does not rise strictly.  A line
+    holding bytes that are not UTF-8, or U+FFFD, is refused the same way.
     """
     events = []
     last_seq = -1
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8", errors="replace") as fh:
         for number, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
+            if "\ufffd" in line:  # errors="replace" reads bytes that are not UTF-8 as U+FFFD
+                raise ValueError(f"trace line {number}: not UTF-8: {line}")
             try:
                 raw, end = _decode_json(line)
-            except (json.JSONDecodeError, RecursionError) as err:  # the decoder recurses on nested arrays
+            except (ValueError, RecursionError) as err:  # the decoder recurses on nested arrays
                 raise ValueError(f"trace line {number}: not JSON ({getattr(err, 'msg', err)}): {line}") from err
             if end != len(line):
                 raise ValueError(f"trace line {number}: data after the JSON value: {line}")
@@ -170,7 +170,7 @@ def cmd_sort(args: argparse.Namespace) -> int:
     info = ALGORITHMS[args.algo]
     # Each event goes to the file as the sorter makes it, so no trace is held in memory.
     try:
-        with open(args.trace, "w", encoding="utf-8") if args.trace else nullcontext() as fh:
+        with open(args.trace, "w", encoding="utf-8") if args.trace is not None else nullcontext() as fh:
             report = info.func(values, None if fh is None else partial(_write_trace_line, fh.write))
     except OSError as err:
         print(f"sortlab sort: cannot write trace: {err}", file=sys.stderr)
@@ -197,11 +197,11 @@ Check = Callable[[Sequence[int]], VerificationVerdict]
 def _check_sorted(values: Sequence[int]) -> VerificationVerdict:
     output = icbics_sort(values).output
     if output == sorted(values):
-        return VerificationVerdict("correctness", True)
-    return VerificationVerdict("correctness", False, {"input": list(values), "output": list(output)})
+        return VerificationVerdict(True)
+    return VerificationVerdict(False, {"input": list(values), "output": list(output)})
 
 
-def _sweep(check_id: str, check: Check, inputs: Iterable[Sequence[int]], examined: int = 0) -> VerificationVerdict:
+def _sweep(check: Check, inputs: Iterable[Sequence[int]], examined: int = 0) -> VerificationVerdict:
     """Run a per-input check on each input in turn, stopping at the first
     failure; ``details`` counts the inputs examined, the failing one
     included, after the ``examined`` already counted."""
@@ -209,8 +209,8 @@ def _sweep(check_id: str, check: Check, inputs: Iterable[Sequence[int]], examine
         examined += 1
         verdict = check(values)
         if not verdict.passed:
-            return VerificationVerdict(check_id, False, verdict.counterexample, {"inputs_examined": examined})
-    return VerificationVerdict(check_id, True, details={"inputs_examined": examined})
+            return VerificationVerdict(False, verdict.counterexample, {"inputs_examined": examined})
+    return VerificationVerdict(True, details={"inputs_examined": examined})
 
 
 def _permutations(n_min: int, n_max: int) -> Iterable[tuple[int, ...]]:
@@ -231,13 +231,13 @@ def _replay_sweep(n_max: int, claims: tuple[str, ...]) -> dict[str, Verification
             examined += 1
             if failures := _check_replay(values, claims):
                 for claim, counterexample in failures.items():
-                    verdicts[claim] = VerificationVerdict(claim, False, counterexample, {"inputs_examined": examined})
+                    verdicts[claim] = VerificationVerdict(False, counterexample, {"inputs_examined": examined})
                 break
     # Looked up here, not bound at import, so that a replaced module attribute takes effect.
     alone = {"pi": check_pi_invariant, "lemma1": check_lemma1}
     for claim in claims:
         if claim not in verdicts:
-            verdicts[claim] = _sweep(claim, alone[claim], inputs, examined)
+            verdicts[claim] = _sweep(alone[claim], inputs, examined)
     return verdicts
 
 
@@ -252,13 +252,13 @@ def _survey_failure(
         return None
     ordinal, values = first
     counterexample = rebuild(values).counterexample
-    return VerificationVerdict(check_id, False, counterexample, {"inputs_examined": examined + ordinal})
+    return VerificationVerdict(False, counterexample, {"inputs_examined": examined + ordinal})
 
 
 def _verify_correctness(n_max: int, survey: Survey) -> VerificationVerdict:
     # Lengths 0 and 1, then the survey's permutations of 2..n_max, then small inputs
     # over a 3-value alphabet, which exercise duplicate handling as permutations cannot.
-    trivial = _sweep("correctness", _check_sorted, _permutations(0, 1))
+    trivial = _sweep(_check_sorted, _permutations(0, 1))
     if not trivial.passed:
         return trivial
     examined = 2
@@ -268,7 +268,7 @@ def _verify_correctness(n_max: int, survey: Survey) -> VerificationVerdict:
             return unsorted
         examined += summary.inputs_examined
     duplicates = (product((1, 2, 3), repeat=n) for n in range(1, min(n_max, 4) + 1))
-    return _sweep("correctness", _check_sorted, chain.from_iterable(duplicates), examined)
+    return _sweep(_check_sorted, chain.from_iterable(duplicates), examined)
 
 
 def _verify_theorem2(n_max: int, survey: Survey) -> VerificationVerdict:
@@ -278,7 +278,7 @@ def _verify_theorem2(n_max: int, survey: Survey) -> VerificationVerdict:
         expected = max_inversions(n) + 1
         if summary.max_swaps != expected:
             counterexample = {"n": n, "max_swaps": summary.max_swaps, "expected": expected}
-            return VerificationVerdict("theorem2", False, counterexample, {"per_n": per_n})
+            return VerificationVerdict(False, counterexample, {"per_n": per_n})
         if n >= 3:
             wanted = sorted(theorem2_extremal_inputs(n))
             if summary.argmax_inputs != wanted:
@@ -287,12 +287,12 @@ def _verify_theorem2(n_max: int, survey: Survey) -> VerificationVerdict:
                     "argmax_inputs": [list(p) for p in summary.argmax_inputs],
                     "expected": [list(p) for p in wanted],
                 }
-                return VerificationVerdict("theorem2", False, counterexample, {"per_n": per_n})
+                return VerificationVerdict(False, counterexample, {"per_n": per_n})
         per_n[str(n)] = {
             "max_swaps": summary.max_swaps,
             "argmax_inputs": [list(p) for p in summary.argmax_inputs],
         }
-    return VerificationVerdict("theorem2", True, details={"per_n": per_n})
+    return VerificationVerdict(True, details={"per_n": per_n})
 
 
 def _verify_theorem3(n_max: int, survey: Survey) -> VerificationVerdict:
@@ -306,9 +306,9 @@ def _verify_theorem3(n_max: int, survey: Survey) -> VerificationVerdict:
         sorted_cost = icbics_sort(range(1, n + 1)).swaps
         if sorted_cost != 2 * (n - 1):
             counterexample = {"input": list(range(1, n + 1)), "swaps": sorted_cost, "expected": 2 * (n - 1)}
-            return VerificationVerdict("theorem3", False, counterexample, {"inputs_examined": examined})
+            return VerificationVerdict(False, counterexample, {"inputs_examined": examined})
     details = {"inputs_examined": examined, "edge_case": "sorted input costs exactly 2(n-1) swaps at every n checked"}
-    return VerificationVerdict("theorem3", True, details=details)
+    return VerificationVerdict(True, details=details)
 
 
 def _verify_theorem4(n_max: int, survey: Survey) -> VerificationVerdict:
@@ -328,12 +328,12 @@ def _verify_theorem4(n_max: int, survey: Survey) -> VerificationVerdict:
                 "expected_min": n - 1,
                 "expected_argmin": [list(p) for p in wanted],
             }
-            return VerificationVerdict("theorem4", False, counterexample, {"per_n": per_n})
+            return VerificationVerdict(False, counterexample, {"per_n": per_n})
         per_n[str(n)] = {
             "min_swaps": summary.min_swaps,
             "argmin_inputs": [list(p) for p in summary.argmin_inputs],
         }
-    return VerificationVerdict("theorem4", True, details={"per_n": per_n, "inputs_examined": examined})
+    return VerificationVerdict(True, details={"per_n": per_n, "inputs_examined": examined})
 
 
 def _verify_instability(n_max: int, survey: Survey) -> VerificationVerdict:
@@ -343,7 +343,7 @@ def _verify_instability(n_max: int, survey: Survey) -> VerificationVerdict:
     witness = find_instability_witness(limit)
     if witness is None:
         counterexample = {"searched_up_to": limit, "witness": None}
-        return VerificationVerdict("instability", False, counterexample, {"searched_up_to": limit})
+        return VerificationVerdict(False, counterexample, {"searched_up_to": limit})
     details = {
         "searched_up_to": limit,
         "witness": {
@@ -352,7 +352,7 @@ def _verify_instability(n_max: int, survey: Survey) -> VerificationVerdict:
             "violated_pair": list(witness.violated_pair),
         },
     }
-    return VerificationVerdict("instability", True, details=details)
+    return VerificationVerdict(True, details=details)
 
 
 # One entry per check id but pi and lemma1, which come from _replay_sweep:
@@ -419,6 +419,9 @@ class BenchRecord:
     wall_ns: int
 
 
+BENCH_COLUMNS = tuple(f.name for f in fields(BenchRecord))
+
+
 def collect_bench_records(
     sizes: Sequence[int],
     reps: int,
@@ -458,7 +461,7 @@ def write_bench_csv(records: Sequence[BenchRecord], stream) -> None:
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(BENCH_COLUMNS)
     for r in records:
-        writer.writerow([r.algorithm, r.n, r.rep, r.seed, r.comparisons, r.swaps, r.wall_ns])
+        writer.writerow(astuple(r))
 
 
 def summarize_bench(records: Sequence[BenchRecord]) -> dict[str, dict]:

@@ -30,8 +30,8 @@ class OracleSummary:
     permutations attaining ``max_swaps`` and ``min_swaps``, deduplicated
     and in lexicographic order.  ``bound_violations`` counts inputs
     whose swap count escaped any closed-form bound; it must be 0.
-    ``mode`` is "exhaustive" or "random"; ``seed`` is set in random mode
-    so a summary can be reproduced.  ``first_violations`` is keyed by
+    ``seed`` is None exactly for an exhaustive survey; a random survey
+    keeps its seed so it can be reproduced.  ``first_violations`` is keyed by
     check id: ``"correctness"`` if some input came out unsorted, and the
     id of each bound that some input escaped (see
     :func:`~sortlab.metrics.violated_bounds`).  Each maps to the 1-based
@@ -45,7 +45,6 @@ class OracleSummary:
     min_swaps: int
     argmin_inputs: list[tuple[int, ...]]
     bound_violations: int
-    mode: str = "exhaustive"
     seed: Optional[int] = None
     first_violations: dict[str, tuple[int, tuple[int, ...]]] = field(default_factory=dict)
 
@@ -80,7 +79,7 @@ def theorem4_extremal_input(n: int) -> tuple[int, ...]:
     return (n,) + tuple(range(1, n))
 
 
-def _summarize(n: int, inputs: Iterator[tuple[int, ...]], mode: str, seed: Optional[int]) -> OracleSummary:
+def _summarize(n: int, inputs: Iterator[tuple[int, ...]], seed: Optional[int]) -> OracleSummary:
     examined = 0
     violations = 0
     max_swaps = -1
@@ -119,7 +118,6 @@ def _summarize(n: int, inputs: Iterator[tuple[int, ...]], mode: str, seed: Optio
         min_swaps=min_swaps,
         argmin_inputs=sorted(argmin),
         bound_violations=violations,
-        mode=mode,
         seed=seed,
         first_violations=first_violations,
     )
@@ -131,7 +129,7 @@ def exhaustive_summary(n: int) -> OracleSummary:
     """
     if not 2 <= n <= EXHAUSTIVE_CAP:
         raise ValueError(f"exhaustive survey supports 2 <= n <= {EXHAUSTIVE_CAP}, got {n}")
-    return _summarize(n, enumerate_permutations(n), "exhaustive", None)
+    return _summarize(n, enumerate_permutations(n), None)
 
 
 def random_suite(n: int, samples: int, seed: int) -> OracleSummary:
@@ -150,4 +148,4 @@ def random_suite(n: int, samples: int, seed: int) -> OracleSummary:
             rng.shuffle(perm)
             yield tuple(perm)
 
-    return _summarize(n, draw(), "random", seed)
+    return _summarize(n, draw(), seed)

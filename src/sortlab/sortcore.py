@@ -4,6 +4,8 @@ Every sorter takes a sequence of keys (anything with a strict total order
 via ``<``), works on its own copy, and reports totals in a
 :class:`SortReport`.  Pass an observer callable to receive one
 :class:`TraceEvent` per comparison and per swap, in execution order.
+The sorters store no events; ``events.append`` on a list records the
+whole trace.
 
 Index convention: arrays are plain Python lists indexed from 0
 internally, but all trace events carry 1-based positions (list index
@@ -82,22 +84,6 @@ class SortReport:
 
 
 Observer = Callable[[TraceEvent], None]
-
-
-class TraceRecorder:
-    """Buffering observer: collects every event in ``events``.
-
-    The sorters themselves never store events, so plain counting runs
-    stay O(1) in memory; use this recorder when the full trace must be
-    held in memory.  ``sortlab sort --trace`` holds none: it streams each
-    event to its file as it comes (``cli.cmd_sort``).
-    """
-
-    def __init__(self) -> None:
-        self.events: list[TraceEvent] = []
-
-    def __call__(self, event: TraceEvent) -> None:
-        self.events.append(event)
 
 
 def _swap_when_less(values: Sequence[Key], obs: Observer | None, algorithm: str, square: bool) -> SortReport:

@@ -37,7 +37,7 @@ CHECK_IDS = ("correctness", "pi", "lemma1", "theorem2", "theorem3", "theorem4", 
 
 @dataclass(frozen=True)
 class VerificationVerdict:
-    """Outcome of one named check, on one input or over a sweep.
+    """Outcome of one check, on one input or over a sweep.
 
     ``counterexample`` is None on a pass; on a failure it is a
     JSON-ready dict holding at least the input plus the location of the
@@ -48,7 +48,6 @@ class VerificationVerdict:
     it empty, and ``sortlab verify`` prints it beside the verdict.
     """
 
-    check_id: str
     passed: bool
     counterexample: Optional[dict] = None
     details: dict = field(default_factory=dict)
@@ -131,7 +130,7 @@ def check_pi_invariant(values: Sequence[int]) -> VerificationVerdict:
     end; only the first violation is reported.
     """
     counterexample = _check_replay(values, ("pi",)).get("pi")
-    return VerificationVerdict("pi", counterexample is None, counterexample)
+    return VerificationVerdict(counterexample is None, counterexample)
 
 
 def check_lemma1(values: Sequence[int]) -> VerificationVerdict:
@@ -146,7 +145,7 @@ def check_lemma1(values: Sequence[int]) -> VerificationVerdict:
     goes to its end; only the first violation is reported.
     """
     counterexample = _check_replay(values, ("lemma1",)).get("lemma1")
-    return VerificationVerdict("lemma1", counterexample is None, counterexample)
+    return VerificationVerdict(counterexample is None, counterexample)
 
 
 def check_theorem_bounds(values: Sequence[int]) -> VerificationVerdict:
@@ -163,7 +162,6 @@ def check_theorem_bounds(values: Sequence[int]) -> VerificationVerdict:
     violated = violated_bounds(n, inv, swaps)
     if violated:
         return VerificationVerdict(
-            "theorem_bounds",
             False,
             {
                 "input": list(values),
@@ -172,7 +170,7 @@ def check_theorem_bounds(values: Sequence[int]) -> VerificationVerdict:
                 "violated": violated,
             },
         )
-    return VerificationVerdict("theorem_bounds", True)
+    return VerificationVerdict(True)
 
 
 class Tagged:
@@ -191,12 +189,6 @@ class Tagged:
 
     def __lt__(self, other: "Tagged") -> bool:
         return self.key < other.key
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Tagged) and (self.key, self.tag) == (other.key, other.tag)
-
-    def __hash__(self) -> int:
-        return hash((self.key, self.tag))
 
     def __repr__(self) -> str:
         return f"({self.key}, {self.tag!r})"

@@ -43,7 +43,6 @@ from sortlab.sortcore import (
     PHASE_NA,
     PHASE_SELECTION,
     TraceEvent,
-    TraceRecorder,
 )
 
 CSV_HEADER = "algorithm,n,rep,seed,comparisons,swaps,wall_ns"
@@ -202,11 +201,28 @@ def test_load_trace_rejects_unknown_kind_or_phase(tmp_path, line):
         '{"seq": 1, "kind": "swap", "i": 1, "j": 2}',
         # Nested deeper than the decoder's recursion limit.
         pytest.param("[" * 100_000 + "]" * 100_000, id="nested-too-deep"),
+        # An integer longer than Python's default 4,300-digit limit for int().
+        pytest.param(
+            '{"seq": ' + "1" * 5000 + ', "kind": "swap", "i": 1, "j": 2, "phase": "selection"}', id="int-too-long"
+        ),
+        # Bytes that are not UTF-8, in a kind and in a key that load_trace ignores.
+        pytest.param(
+            b'{"seq": 0, "kind": "compare", "i": 1, "j": 2, "phase": "selection"}\n'
+            b'{"seq": 1, "kind": "sw\xffap", "i": 1, "j": 2, "phase": "selection"}',
+            id="not-utf8-kind",
+        ),
+        pytest.param(
+            b'{"seq": 0, "kind": "compare", "i": 1, "j": 2, "phase": "selection", "note": "\xff"}',
+            id="not-utf8-ignored-key",
+        ),
     ],
 )
 def test_load_trace_rejects_malformed_events(tmp_path, text):
     trace_path = tmp_path / "trace.jsonl"
-    trace_path.write_text(text + "\n")
+    if isinstance(text, bytes):
+        trace_path.write_bytes(text + b"\n")
+    else:
+        trace_path.write_text(text + "\n")
     with pytest.raises(ValueError) as refused:
         load_trace(str(trace_path))
     # The bad line is the last one, and the message names it.
@@ -279,10 +295,10 @@ def test_sort_missing_file_is_input_error(capsys):
 
 
 def test_sort_unwritable_trace_is_usage_error(capsys, tmp_path):
-    target = tmp_path / "absent" / "trace.jsonl"
-    rc, _, err = run(capsys, "sort", "--input", "2,1", "--trace", str(target))
-    assert rc == 2
-    assert "cannot write trace" in err
+    for target in (str(tmp_path / "absent" / "trace.jsonl"), ""):
+        rc, _, err = run(capsys, "sort", "--input", "2,1", "--trace", target)
+        assert rc == 2
+        assert "cannot write trace" in err
 
 
 def test_sort_unwritable_trace_never_runs_the_sorter(capsys, monkeypatch, tmp_path):
@@ -294,9 +310,10 @@ def test_sort_unwritable_trace_never_runs_the_sorter(capsys, monkeypatch, tmp_pa
         return info.func(values, observer)
 
     monkeypatch.setitem(cli.ALGORITHMS, "icbics", dataclasses.replace(info, func=counting))
-    rc, out, err = run(capsys, "sort", "--input", "2,1", "--trace", str(tmp_path / "absent" / "trace.jsonl"))
-    assert (rc, out, calls) == (2, "", [])
-    assert "cannot write trace" in err
+    for target in (str(tmp_path / "absent" / "trace.jsonl"), ""):
+        rc, out, err = run(capsys, "sort", "--input", "2,1", "--trace", target)
+        assert (rc, out, calls) == (2, "", [])
+        assert "cannot write trace" in err
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
@@ -316,19 +333,19 @@ TRACE_INPUTS = ([4, 7, 1, 6, 3, 5, 2], [3, 1, 3, 2, 1, 3, 2])
 @pytest.mark.parametrize("values", TRACE_INPUTS, ids=("permutation", "duplicates"))
 @pytest.mark.parametrize("algo", list(cli.ALGORITHMS))
 def test_sort_trace_file_is_the_json_dumps_of_each_event(tmp_path, capsys, algo, values):
-    recorder = TraceRecorder()
-    cli.ALGORITHMS[algo].func(values, recorder)
+    events = []
+    cli.ALGORITHMS[algo].func(values, events.append)
     keys = ("seq", "kind", "i", "j", "phase")
-    expected = "".join(json.dumps(dict(zip(keys, event))) + "\n" for event in recorder.events).encode()
+    expected = "".join(json.dumps(dict(zip(keys, event))) + "\n" for event in events).encode()
 
     streamed = tmp_path / "streamed.jsonl"
     rc, _, _ = run(capsys, "sort", "--algo", algo, "--input", ",".join(map(str, values)), "--trace", str(streamed))
     assert rc == 0
     assert streamed.read_bytes() == expected
     written = tmp_path / "written.jsonl"
-    write_trace(str(written), recorder.events)
+    write_trace(str(written), events)
     assert written.read_bytes() == expected
-    assert load_trace(str(streamed)) == recorder.events
+    assert load_trace(str(streamed)) == events
 
 
 @pytest.mark.parametrize("algo", list(cli.ALGORITHMS))
@@ -338,10 +355,10 @@ def test_every_event_is_a_trace_event(tmp_path, algo):
     trace_path = tmp_path / "trace.jsonl"
     for n in range(5):
         for values in product((1, 2, 3), repeat=n):
-            recorder = TraceRecorder()
-            cli.ALGORITHMS[algo].func(values, recorder)
-            write_trace(str(trace_path), recorder.events)
-            for event in recorder.events + load_trace(str(trace_path)):
+            events = []
+            cli.ALGORITHMS[algo].func(values, events.append)
+            write_trace(str(trace_path), events)
+            for event in events + load_trace(str(trace_path)):
                 assert type(event) is TraceEvent
                 assert event == TraceEvent(*event)
                 assert (event.seq, event.kind, event.i, event.j, event.phase) == tuple(event)
@@ -545,7 +562,7 @@ def test_verify_negative_samples(capsys):
 
 def test_verify_failing_check_exits_one(capsys, monkeypatch):
     def forced_failure(values):
-        return VerificationVerdict("pi", False, {"input": list(values), "reason": "forced"})
+        return VerificationVerdict(False, {"input": list(values), "reason": "forced"})
 
     monkeypatch.setattr(cli, "check_pi_invariant", forced_failure)
     rc, out, _ = run(capsys, "verify", "--checks", "pi", "--n-max", "2")
@@ -789,9 +806,9 @@ def test_verify_pi_and_lemma1_report_together_as_alone(capsys, monkeypatch, rewr
         rewrite = rewrites.get(tuple(values))
         if observer is None or rewrite is None:
             return real(values, observer)
-        recorder = TraceRecorder()
-        report = real(values, recorder)
-        for event in rewrite(recorder.events):
+        events = []
+        report = real(values, events.append)
+        for event in rewrite(events):
             observer(event)
         return report
 

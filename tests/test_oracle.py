@@ -59,7 +59,6 @@ def test_exhaustive_summary_n2():
     assert summary.min_swaps == 1
     assert summary.argmin_inputs == [(2, 1)]
     assert summary.bound_violations == 0
-    assert summary.mode == "exhaustive"
     assert summary.seed is None
 
 
@@ -134,7 +133,6 @@ def test_random_suite_is_deterministic():
     first = random_suite(16, 40, seed=5)
     second = random_suite(16, 40, seed=5)
     assert first == second
-    assert first.mode == "random"
     assert first.seed == 5
     assert first.inputs_examined == 40
     assert first.bound_violations == 0

@@ -28,7 +28,6 @@ from sortlab import (
     SortReport,
     Tagged,
     TraceEvent,
-    TraceRecorder,
     exchange_sort,
     icbics_desc_ineq,
     icbics_desc_loopswap,
@@ -204,9 +203,9 @@ def test_descending_variants_agree_on_every_input():
 
 
 def collect(name, values):
-    recorder = TraceRecorder()
-    report = ALGORITHMS[name].func(values, recorder)
-    return report, recorder.events
+    events = []
+    report = ALGORITHMS[name].func(values, events.append)
+    return report, events
 
 
 @pytest.mark.parametrize("name", list(ALGORITHMS))
@@ -357,7 +356,7 @@ def test_property_swap_counts_on_distinct(values):
 
 @given(int_lists)
 def test_property_trace_replay(values):
-    recorder = TraceRecorder()
-    report = icbics_sort(values, recorder)
-    assert replay_trace(values, recorder.events) == report.output
-    assert [e.seq for e in recorder.events] == list(range(len(recorder.events)))
+    events = []
+    report = icbics_sort(values, events.append)
+    assert replay_trace(values, events) == report.output
+    assert [e.seq for e in events] == list(range(len(events)))
