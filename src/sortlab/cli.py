@@ -16,6 +16,7 @@ import csv
 import json
 import os
 import random
+import re
 import sys
 import time
 from contextlib import nullcontext
@@ -94,70 +95,67 @@ def _read_input_values(source: str) -> list[int]:
 # own string, so a long trace holds no per-event copies of these few values.
 _TRACE_KINDS = {kind: kind for kind in (KIND_COMPARE, KIND_SWAP)}
 _TRACE_PHASES = {phase: phase for phase in (PHASE_SELECTION, PHASE_INSERTION, PHASE_NA)}
-# On a stripped line, raw_decode plus the end check accepts exactly what json.loads does, in fewer calls.
-_decode_json = json.JSONDecoder().raw_decode
+# The one trace line grammar, spaced and ordered as _write_trace_line writes it.
+_TRACE_LINE = re.compile(
+    r'{"seq": (0|[1-9][0-9]*), "kind": "(compare|swap)", "i": ([1-9][0-9]*), "j": ([1-9][0-9]*), '
+    r'"phase": "(selection|insertion|not_applicable)"}'
+)
 
 
 def _write_trace_line(write: Callable[[str], object], event: TraceEvent) -> None:
-    # The one trace line format: a JSON object with keys seq, kind, i, j, phase.
     seq, kind, i, j, phase = event
     write(f'{{"seq": {seq}, "kind": "{kind}", "i": {i}, "j": {j}, "phase": "{phase}"}}\n')
 
 
+def _read_trace_line(number: int, line: str, last_seq: int) -> TraceEvent:
+    # The one trace line reader: a stripped line of the grammar with seq above last_seq.
+    match = _TRACE_LINE.fullmatch(line)
+    if match is None:
+        raise ValueError(f"trace line {number}: not of the form {_TRACE_LINE.pattern}: {line}")
+    seq, kind, i, j, phase = match.groups()
+    try:
+        seq, i, j = int(seq), int(i), int(j)
+    except ValueError as err:  # an integer past Python's limit on digits
+        raise ValueError(f"trace line {number}: {err}: {line}") from None
+    if seq <= last_seq:
+        raise ValueError(f"trace line {number}: seq does not rise above {last_seq}: {line}")
+    return tuple.__new__(TraceEvent, (seq, _TRACE_KINDS[kind], i, j, _TRACE_PHASES[phase]))
+
+
 def write_trace(path: str, events: Iterable[TraceEvent]) -> None:
     """Write events as JSON lines, one object per event.  Raises ``ValueError``
-    on an event that :func:`load_trace` would refuse, before writing it; the
-    lines before it stay written."""
+    on an event whose line :func:`load_trace` would not read back as that
+    event, before writing it; the lines before it stay written."""
     last_seq = -1
     with open(path, "w", encoding="utf-8") as fh:
-        for event in events:
-            seq, kind, i, j, phase = event
-            typed = type(seq) is type(i) is type(j) is int and type(kind) is type(phase) is str
-            if not typed or kind not in _TRACE_KINDS or phase not in _TRACE_PHASES or seq <= last_seq:
-                raise ValueError(f"trace event needs int seq, i, j, seq rising, a known kind and phase: {event!r}")
-            last_seq = seq
-            _write_trace_line(fh.write, event)
+        for number, event in enumerate(events, 1):
+            lines = []
+            _write_trace_line(lines.append, event)
+            read = _read_trace_line(number, lines[0].strip(), last_seq)
+            if read != event:
+                raise ValueError(f"trace line {number}: {event!r} would read back as {read!r}")
+            last_seq = read[0]
+            fh.write(lines[0])
 
 
 def load_trace(path: str) -> list[TraceEvent]:
-    """Read a JSON-lines trace back into events.
+    """Read a trace that ``sort --trace`` wrote back into events.
 
-    Raises ``ValueError``, naming the 1-based line, on a line that is
-    not one JSON value (trailing data included) or on a malformed event:
-    a missing key, a ``kind`` or ``phase`` that no sorter emits, a
-    ``seq``, ``i`` or ``j`` that is not an integer (``bool`` included),
-    or a ``seq`` that is negative or does not rise strictly.  A line
-    holding bytes that are not UTF-8, or U+FFFD, is refused the same way.
+    Each non-blank line must be one event in the writer's grammar, with
+    its spacing and key order: ``seq`` from 0 and rising, ``i`` and ``j``
+    from 1, a kind and phase that sorters emit.  Raises ``ValueError``,
+    naming the 1-based line, on any other line.
     """
     events = []
     last_seq = -1
+    # Bytes that are not UTF-8 read as U+FFFD, which the grammar refuses with its line.
     with open(path, "r", encoding="utf-8", errors="replace") as fh:
         for number, line in enumerate(fh, 1):
             line = line.strip()
-            if not line:
-                continue
-            if "\ufffd" in line:  # errors="replace" reads bytes that are not UTF-8 as U+FFFD
-                raise ValueError(f"trace line {number}: not UTF-8: {line}")
-            try:
-                raw, end = _decode_json(line)
-            except (ValueError, RecursionError) as err:  # the decoder recurses on nested arrays
-                raise ValueError(f"trace line {number}: not JSON ({getattr(err, 'msg', err)}): {line}") from err
-            if end != len(line):
-                raise ValueError(f"trace line {number}: data after the JSON value: {line}")
-            try:
-                seq, i, j = raw["seq"], raw["i"], raw["j"]
-                kind = _TRACE_KINDS.get(raw["kind"])
-                phase = _TRACE_PHASES.get(raw["phase"])
-            except (KeyError, TypeError) as err:
-                # A missing key, a line that is not an object, or an
-                # unhashable kind or phase.
-                raise ValueError(f"trace line {number}: malformed trace event: {line}") from err
-            if kind is None or phase is None:
-                raise ValueError(f"trace line {number}: unknown kind or phase in trace event: {line}")
-            if type(seq) is not int or type(i) is not int or type(j) is not int or seq <= last_seq:
-                raise ValueError(f"trace line {number}: event needs integer seq, i and j, with seq rising: {line}")
-            last_seq = seq
-            events.append(tuple.__new__(TraceEvent, (seq, kind, i, j, phase)))
+            if line:
+                event = _read_trace_line(number, line, last_seq)
+                last_seq = event[0]
+                events.append(event)
     return events
 
 

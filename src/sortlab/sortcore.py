@@ -18,11 +18,6 @@ The double-loop sorters share one kernel per swap condition:
 ``_swap_when_greater`` runs ``exchange_sort`` and ``icbics_desc_ineq``,
 which ``icbics_desc_loopswap`` relays.  ``std_insertion_sort`` stops
 early, so it keeps its own loop.
-
-Every sorter builds its events as ``tuple.__new__(TraceEvent, (...))``.
-That is the same object ``TraceEvent(...)`` returns, without the
-Python-level ``__new__`` that ``NamedTuple`` generates, and it costs
-about half as much; a traced sort spends most of its time on events.
 """
 
 from __future__ import annotations
@@ -56,6 +51,7 @@ class TraceEvent(NamedTuple):
     with ``tuple.__new__(TraceEvent, (seq, kind, i, j, phase))``, which
     skips the generated ``__new__`` (a Python function call per event)
     and halves that cost again; the result is an ordinary ``TraceEvent``.
+    A traced sort spends most of its time on events.
     """
 
     seq: int

@@ -12,6 +12,7 @@ import dataclasses
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from dataclasses import asdict
@@ -19,6 +20,8 @@ from itertools import product
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import sortlab.cli as cli
 import sortlab.oracle
@@ -176,7 +179,9 @@ def test_load_trace_shares_the_kind_and_phase_constants(tmp_path, capsys):
 def test_load_trace_rejects_unknown_kind_or_phase(tmp_path, line):
     trace_path = tmp_path / "trace.jsonl"
     trace_path.write_text(line + "\n")
-    with pytest.raises(ValueError, match="unknown kind or phase"):
+    # The refusal names the kinds and phases that sorters emit.
+    accepted = re.escape('"kind": "(compare|swap)"') + ".*" + re.escape('"phase": "(selection|insertion|not_applicable)"')
+    with pytest.raises(ValueError, match=accepted):
         load_trace(str(trace_path))
 
 
@@ -205,7 +210,7 @@ def test_load_trace_rejects_unknown_kind_or_phase(tmp_path, line):
         pytest.param(
             '{"seq": ' + "1" * 5000 + ', "kind": "swap", "i": 1, "j": 2, "phase": "selection"}', id="int-too-long"
         ),
-        # Bytes that are not UTF-8, in a kind and in a key that load_trace ignores.
+        # Bytes that are not UTF-8, in a kind and in an extra key.
         pytest.param(
             b'{"seq": 0, "kind": "compare", "i": 1, "j": 2, "phase": "selection"}\n'
             b'{"seq": 1, "kind": "sw\xffap", "i": 1, "j": 2, "phase": "selection"}',
@@ -215,6 +220,15 @@ def test_load_trace_rejects_unknown_kind_or_phase(tmp_path, line):
             b'{"seq": 0, "kind": "compare", "i": 1, "j": 2, "phase": "selection", "note": "\xff"}',
             id="not-utf8-ignored-key",
         ),
+        # Lines no sorter writes, though a JSON decoder would read them as an event.
+        pytest.param('{"seq": 0, "kind": "swap", "i": 1, "j": 2, "phase": "selection", "i": 7}', id="repeated-key"),
+        pytest.param(
+            '{"seq": 0, "kind": "swap", "i": 1, "j": 2, "phase": "selection", "kind2": "merge"}', id="extra-key"
+        ),
+        pytest.param('{"seq":0,"kind":"swap","i":1,"j":2,"phase":"selection"}', id="compact-separators"),
+        pytest.param('{"kind": "swap", "seq": 0, "i": 1, "j": 2, "phase": "selection"}', id="reordered-keys"),
+        pytest.param('{"seq": 0, "kind": "swap", "i": 0, "j": 2, "phase": "selection"}', id="position-zero"),
+        pytest.param('{"seq": 0, "kind": "swap", "i": 1, "j": -5, "phase": "selection"}', id="negative-position"),
     ],
 )
 def test_load_trace_rejects_malformed_events(tmp_path, text):
@@ -380,6 +394,8 @@ GOOD_EVENT = TraceEvent(0, KIND_COMPARE, 1, 2, PHASE_SELECTION)
         TraceEvent(1, KIND_SWAP, True, 2, PHASE_SELECTION),
         TraceEvent(0, KIND_SWAP, 1, 2, PHASE_SELECTION),
         TraceEvent(-1, KIND_SWAP, 1, 2, PHASE_SELECTION),
+        TraceEvent(1, KIND_SWAP, 0, 2, PHASE_NA),
+        TraceEvent(1, KIND_SWAP, 1, -2, PHASE_NA),
     ],
 )
 def test_write_trace_refuses_what_load_trace_refuses(tmp_path, bad):
@@ -395,6 +411,28 @@ def test_write_trace_refuses_a_negative_first_seq(tmp_path):
     with pytest.raises(ValueError):
         write_trace(str(trace_path), [TraceEvent(-1, KIND_SWAP, 1, 2, PHASE_NA)])
     assert trace_path.read_text() == ""
+
+
+@st.composite
+def trace_events(draw):
+    # seq rises from any start >= 0, with gaps; positions are any integers >= 1.
+    seqs = sorted(draw(st.sets(st.integers(min_value=0), max_size=20)))
+    kinds = st.sampled_from((KIND_COMPARE, KIND_SWAP))
+    phases = st.sampled_from((PHASE_SELECTION, PHASE_INSERTION, PHASE_NA))
+    positions = st.integers(min_value=1)
+    return [TraceEvent(seq, draw(kinds), draw(positions), draw(positions), draw(phases)) for seq in seqs]
+
+
+@given(events=trace_events())
+def test_load_trace_reads_back_every_event_write_trace_accepts(tmp_path_factory, events):
+    trace_path = tmp_path_factory.mktemp("trace") / "trace.jsonl"
+    write_trace(str(trace_path), events)
+    loaded = load_trace(str(trace_path))
+    assert loaded == events
+    for event in loaded:
+        assert type(event) is TraceEvent
+        assert event.kind is KIND_COMPARE or event.kind is KIND_SWAP
+        assert event.phase is PHASE_SELECTION or event.phase is PHASE_INSERTION or event.phase is PHASE_NA
 
 
 # -------------------------------------------------------------- glue
