@@ -51,7 +51,7 @@ from .verify import (
     CHECK_IDS,
     VerificationVerdict,
     _check_replay,
-    check_lemma1,
+    check_lemma1,  # with check_pi_invariant, unused here but wrapped in sortlab.cli by perfbench/layers.py
     check_pi_invariant,
     check_theorem_bounds,
     find_instability_witness,
@@ -65,6 +65,13 @@ RANDOM_SUITE_N = 64
 # ---------------------------------------------------------------- sort
 
 
+def _read_int(text: str) -> int:
+    # The one integer reader for input and arguments: ASCII digits, an optional sign, no "_".
+    if re.fullmatch(r"[+-]?[0-9]+", text.strip()) is None:
+        raise ValueError(f"not a decimal integer: {text!r}")
+    return int(text)
+
+
 def parse_int_values(text: str) -> list[int]:
     """Parse integers from either format: one per line, or a single
     comma-separated line.  Blank input means an empty list.
@@ -76,7 +83,7 @@ def parse_int_values(text: str) -> list[int]:
         tokens = [tok.strip() for tok in stripped.split(",")]
     else:
         tokens = stripped.split()
-    return [int(tok) for tok in tokens]
+    return [_read_int(tok) for tok in tokens]
 
 
 def _read_input_values(source: str) -> list[int]:
@@ -110,15 +117,16 @@ def _write_trace_line(write: Callable[[str], object], event: TraceEvent) -> None
 def _read_trace_line(number: int, line: str, last_seq: int) -> TraceEvent:
     # The one trace line reader: a stripped line of the grammar with seq above last_seq.
     match = _TRACE_LINE.fullmatch(line)
-    if match is None:
-        raise ValueError(f"trace line {number}: not of the form {_TRACE_LINE.pattern}: {line}")
-    seq, kind, i, j, phase = match.groups()
     try:
-        seq, i, j = int(seq), int(i), int(j)
-    except ValueError as err:  # an integer past Python's limit on digits
-        raise ValueError(f"trace line {number}: {err}: {line}") from None
-    if seq <= last_seq:
-        raise ValueError(f"trace line {number}: seq does not rise above {last_seq}: {line}")
+        if match is None:
+            raise ValueError(f"not of the form {_TRACE_LINE.pattern}")
+        seq, kind, i, j, phase = match.groups()
+        seq, i, j = int(seq), int(i), int(j)  # int refuses an integer past Python's limit on digits
+        if seq <= last_seq:
+            raise ValueError(f"seq does not rise above {last_seq}")
+    except ValueError as err:  # echoes at most 200 characters of a refused line
+        shown = line if len(line) <= 200 else f"{line[:200]}... ({len(line)} characters)"
+        raise ValueError(f"trace line {number}: {err}: {shown}") from None
     return tuple.__new__(TraceEvent, (seq, _TRACE_KINDS[kind], i, j, _TRACE_PHASES[phase]))
 
 
@@ -189,58 +197,45 @@ def cmd_sort(args: argparse.Namespace) -> int:
 
 # exhaustive_summary, cached for one verify run.
 Survey = Callable[[int], OracleSummary]
-Check = Callable[[Sequence[int]], VerificationVerdict]
+# A per-input check of the open claims: the counterexample of each that fails, by claim id.
+Check = Callable[[Sequence[int], tuple[str, ...]], dict[str, dict]]
 
 
-def _check_sorted(values: Sequence[int]) -> VerificationVerdict:
+def _check_sorted(values: Sequence[int], claims: tuple[str, ...]) -> dict[str, dict]:
     output = icbics_sort(values).output
     if output == sorted(values):
-        return VerificationVerdict(True)
-    return VerificationVerdict(False, {"input": list(values), "output": list(output)})
+        return {}
+    return {"correctness": {"input": list(values), "output": list(output)}}
 
 
-def _sweep(check: Check, inputs: Iterable[Sequence[int]], examined: int = 0) -> VerificationVerdict:
-    """Run a per-input check on each input in turn, stopping at the first
-    failure; ``details`` counts the inputs examined, the failing one
-    included, after the ``examined`` already counted."""
+def _sweep(
+    check: Check, claims: tuple[str, ...], inputs: Iterable[Sequence[int]], examined: int = 0
+) -> dict[str, VerificationVerdict]:
+    """The one loop over per-input claims: run ``check`` on each input in
+    turn for the claims still open, and return each claim's verdict by
+    claim id.  A claim closes at its first counterexample, and the sweep
+    stops once none is open; ``details`` counts the inputs examined, the
+    failing one included, after the ``examined`` already counted."""
+    verdicts = {}
     for values in inputs:
+        if not claims:
+            break
         examined += 1
-        verdict = check(values)
-        if not verdict.passed:
-            return VerificationVerdict(False, verdict.counterexample, {"inputs_examined": examined})
-    return VerificationVerdict(True, details={"inputs_examined": examined})
+        if failures := check(values, claims):
+            for claim, counterexample in failures.items():
+                verdicts[claim] = VerificationVerdict(False, counterexample, {"inputs_examined": examined})
+            claims = tuple(claim for claim in claims if claim not in failures)
+    for claim in claims:
+        verdicts[claim] = VerificationVerdict(True, details={"inputs_examined": examined})
+    return verdicts
 
 
 def _permutations(n_min: int, n_max: int) -> Iterable[tuple[int, ...]]:
     return chain.from_iterable(enumerate_permutations(n) for n in range(n_min, n_max + 1))
 
 
-def _replay_sweep(n_max: int, claims: tuple[str, ...]) -> dict[str, VerificationVerdict]:
-    """The sweeps of ``claims``, ``pi``, ``lemma1``, both or neither, over
-    every permutation of lengths 1..``n_max``, by claim id.  With both, each
-    permutation gets one traced run that checks the two; once one fails,
-    the other goes on alone through its own per-input check, so each
-    verdict is what its own sweep reports."""
-    inputs = iter(_permutations(1, n_max))
-    verdicts = {}
-    examined = 0
-    if len(claims) > 1:
-        for values in inputs:
-            examined += 1
-            if failures := _check_replay(values, claims):
-                for claim, counterexample in failures.items():
-                    verdicts[claim] = VerificationVerdict(False, counterexample, {"inputs_examined": examined})
-                break
-    # Looked up here, not bound at import, so that a replaced module attribute takes effect.
-    alone = {"pi": check_pi_invariant, "lemma1": check_lemma1}
-    for claim in claims:
-        if claim not in verdicts:
-            verdicts[claim] = _sweep(alone[claim], inputs, examined)
-    return verdicts
-
-
 def _survey_failure(
-    check_id: str, summary: OracleSummary, examined: int, rebuild: Check
+    check_id: str, summary: OracleSummary, examined: int, rebuild: Callable[[Sequence[int]], VerificationVerdict]
 ) -> Optional[VerificationVerdict]:
     # The failing verdict for the survey's first input that failed this
     # check, with the counterexample ``rebuild`` makes on that input, or
@@ -256,17 +251,20 @@ def _survey_failure(
 def _verify_correctness(n_max: int, survey: Survey) -> VerificationVerdict:
     # Lengths 0 and 1, then the survey's permutations of 2..n_max, then small inputs
     # over a 3-value alphabet, which exercise duplicate handling as permutations cannot.
-    trivial = _sweep(_check_sorted, _permutations(0, 1))
+    claims = ("correctness",)
+    trivial = _sweep(_check_sorted, claims, _permutations(0, 1))["correctness"]
     if not trivial.passed:
         return trivial
+    # _survey_failure rebuilds from a verdict, the shape check_theorem_bounds returns.
+    rebuild = lambda values: VerificationVerdict(False, _check_sorted(values, claims).get("correctness"))
     examined = 2
     for n in range(2, n_max + 1):
         summary = survey(n)
-        if unsorted := _survey_failure("correctness", summary, examined, _check_sorted):
+        if unsorted := _survey_failure("correctness", summary, examined, rebuild):
             return unsorted
         examined += summary.inputs_examined
     duplicates = (product((1, 2, 3), repeat=n) for n in range(1, min(n_max, 4) + 1))
-    return _sweep(_check_sorted, chain.from_iterable(duplicates), examined)
+    return _sweep(_check_sorted, claims, chain.from_iterable(duplicates), examined)["correctness"]
 
 
 def _verify_theorem2(n_max: int, survey: Survey) -> VerificationVerdict:
@@ -353,7 +351,7 @@ def _verify_instability(n_max: int, survey: Survey) -> VerificationVerdict:
     return VerificationVerdict(True, details=details)
 
 
-# One entry per check id but pi and lemma1, which come from _replay_sweep:
+# One entry per check id but pi and lemma1, which share one _sweep of _check_replay:
 # called with --n-max and the run's cached exhaustive survey.
 _CHECKS = {
     "correctness": _verify_correctness,
@@ -367,9 +365,9 @@ _CHECKS = {
 def cmd_verify(args: argparse.Namespace) -> int:
     selected = args.checks if args.checks is not None else list(CHECK_IDS)
     # theorem2-4 read one exhaustive survey per n, made once per run.  pi and lemma1
-    # come from one replay sweep over the selected ones, made here; none runs if neither is selected.
+    # come from one sweep over the selected ones, made here; none runs if neither is selected.
     survey = lru_cache(maxsize=None)(exhaustive_summary)
-    replayed = _replay_sweep(args.n_max, tuple(claim for claim in ("pi", "lemma1") if claim in selected))
+    replayed = _sweep(_check_replay, tuple(c for c in ("pi", "lemma1") if c in selected), _permutations(1, args.n_max))
     results = {}
     all_passed = True
     for check_id in selected:
@@ -512,12 +510,12 @@ def _check_ids(text: str) -> list[str]:
     return names
 
 
-def _int_range(low: int, high: Optional[int] = None) -> Callable[[str], int]:
-    """An argparse type: an integer in ``low..high``, or ``>= low`` when ``high`` is None."""
+def _int_range(low: Optional[int] = None, high: Optional[int] = None) -> Callable[[str], int]:
+    """An argparse type: an integer in ``low..high``, with no bound on a side that is None."""
 
     def parse(text: str) -> int:
-        value = int(text)
-        if value < low or (high is not None and value > high):
+        value = _read_int(text)
+        if (low is not None and value < low) or (high is not None and value > high):
             bound = f">= {low}" if high is None else f"between {low} and {high}"
             raise argparse.ArgumentTypeError(f"must be {bound}, got {value}")
         return value
@@ -583,7 +581,7 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"additionally check order and bounds on this many seeded random permutations of 1..{RANDOM_SUITE_N} "
         "(default: %(default)s)",
     )
-    p_verify.add_argument("--seed", type=int, default=0, help="seed for --samples (default: %(default)s)")
+    p_verify.add_argument("--seed", type=_int_range(), default=0, help="seed for --samples (default: %(default)s)")
     p_verify.set_defaults(handler=cmd_verify)
 
     p_bench = sub.add_parser("bench", help="time every algorithm and emit per-run records")
@@ -595,7 +593,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated input lengths (default: 16,64,128)",
     )
     p_bench.add_argument("--reps", type=_int_range(1), default=3, help="repetitions per size (default: %(default)s)")
-    p_bench.add_argument("--seed", type=int, default=0, help="shuffle seed (default: %(default)s)")
+    p_bench.add_argument("--seed", type=_int_range(), default=0, help="shuffle seed (default: %(default)s)")
     p_bench.add_argument(
         "--format",
         choices=("csv", "json"),

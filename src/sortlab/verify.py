@@ -6,12 +6,12 @@ pass, the +1/-1 inversion delta of every swap, the closed-form swap
 bounds, or (by search over tagged inputs) the fact that the sort is
 not stable.  The first two, ``pi`` and ``lemma1``, share one observer
 that replays each swap once and checks either claim or both on the same
-traced run, so ``sortlab verify`` sorts each permutation once for the
-two; the run goes to its end, and only each claim's first violation is
-reported.  Checks return a :class:`VerificationVerdict`; a failing verdict
-always carries a replayable counterexample.  ``sortlab verify`` reports
-each check's whole sweep as one verdict too, with what the sweep covered
-(inputs examined, per-n extremes) in its ``details``.
+traced run.  ``sortlab verify`` sweeps the permutations with it, each
+sorted once for whichever of the two are still open; a claim stays open
+until its first violation.  Checks return a :class:`VerificationVerdict`;
+a failing verdict always carries a replayable counterexample.  ``sortlab
+verify`` reports each check's whole sweep as one verdict too, with what
+the sweep covered (inputs examined, per-n extremes) in its ``details``.
 
 Checks that assume distinct elements raise ``ValueError`` when handed
 duplicates instead of producing an undefined verdict.
@@ -67,7 +67,8 @@ def _check_replay(values: Sequence[int], claims: tuple[str, ...]) -> dict[str, d
     the events changes, and once after the run, it checks the ``pi``
     boundary.  The run always goes to its end; a claim that fails leaves
     the open set with its first counterexample and is checked no further.
-    Returns the counterexample of each claim that failed, by claim id.
+    Returns the counterexample of each claim that failed, by claim id;
+    ``sortlab verify`` calls it per permutation with the claims still open.
     """
     _require_distinct(values, " and ".join(claims))
     work = list(values)

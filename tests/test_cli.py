@@ -27,7 +27,7 @@ import sortlab.cli as cli
 import sortlab.oracle
 import sortlab.sortcore
 import sortlab.verify
-from sortlab import VerificationVerdict, replay_trace
+from sortlab import replay_trace
 from sortlab.cli import (
     BENCH_COLUMNS,
     collect_bench_records,
@@ -79,6 +79,29 @@ def test_parse_int_values(text, expected):
 def test_parse_int_values_rejects_garbage():
     with pytest.raises(ValueError):
         parse_int_values("1,two,3")
+
+
+@pytest.mark.parametrize("text", ["1_0,2", "\uff13,\u0661", "2,\u00b2", "1 0_0", "+-1", "0x10", "1.0"])
+def test_parse_int_values_takes_only_ascii_decimal_integers(text):
+    with pytest.raises(ValueError, match="not a decimal integer"):
+        parse_int_values(text)
+
+
+@pytest.mark.parametrize("values", ["1_0,2", "\uff13,\u0661"], ids=["underscore", "non-ascii-digits"])
+def test_sort_refuses_integers_not_in_ascii_decimal(capsys, values):
+    rc, out, err = run(capsys, "sort", "--input", values)
+    assert rc == 2
+    assert out == ""
+    assert "not a decimal integer" in err
+
+
+def test_signed_seeds_are_still_read(capsys):
+    rc, out, _ = run(capsys, "bench", "--sizes", "3", "--reps", "1", "--seed", "-5", "--format", "json")
+    assert rc == 0
+    assert json.loads(out)["records"][0]["seed"] == -5
+    rc, out, _ = run(capsys, "verify", "--checks", "instability", "--samples", "1", "--seed", "+7")
+    assert rc == 0
+    assert json.loads(out)["random_suite"]["seed"] == 7
 
 
 # -------------------------------------------------------------- sort
@@ -229,6 +252,7 @@ def test_load_trace_rejects_unknown_kind_or_phase(tmp_path, line):
         pytest.param('{"kind": "swap", "seq": 0, "i": 1, "j": 2, "phase": "selection"}', id="reordered-keys"),
         pytest.param('{"seq": 0, "kind": "swap", "i": 0, "j": 2, "phase": "selection"}', id="position-zero"),
         pytest.param('{"seq": 0, "kind": "swap", "i": 1, "j": -5, "phase": "selection"}', id="negative-position"),
+        pytest.param("x" * 1_000_000, id="long-garbage"),
     ],
 )
 def test_load_trace_rejects_malformed_events(tmp_path, text):
@@ -239,8 +263,9 @@ def test_load_trace_rejects_malformed_events(tmp_path, text):
         trace_path.write_text(text + "\n")
     with pytest.raises(ValueError) as refused:
         load_trace(str(trace_path))
-    # The bad line is the last one, and the message names it.
+    # The bad line is the last one, and the message names it and echoes at most a short part of it.
     assert str(refused.value).startswith(f"trace line {len(text.splitlines())}: ")
+    assert len(str(refused.value)) < 1024
 
 
 def test_sort_unknown_algorithm_is_usage_error(capsys):
@@ -553,6 +578,13 @@ def test_verify_n_max_out_of_range(capsys, n_max):
         (["bench", "--reps", "0"], "must be >= 1"),
         (["bench", "--reps", "2.5"], "invalid int value"),
         (["bench", "--sizes", "8,-1"], "each >= 0"),
+        # Only ASCII decimal integers: no "_" separators, no other scripts' digits.
+        (["bench", "--sizes", "1_6"], "expected comma-separated integers"),
+        (["bench", "--reps", "\u0662"], "invalid int value"),
+        (["bench", "--seed", "1_0"], "invalid int value"),
+        (["verify", "--n-max", "0_3"], "invalid int value"),
+        (["verify", "--samples", "\u0663"], "invalid int value"),
+        (["verify", "--seed", "\uff11"], "invalid int value"),
     ],
 )
 def test_bad_arguments_get_argparse_usage_errors(capsys, argv, phrase):
@@ -599,10 +631,10 @@ def test_verify_negative_samples(capsys):
 
 
 def test_verify_failing_check_exits_one(capsys, monkeypatch):
-    def forced_failure(values):
-        return VerificationVerdict(False, {"input": list(values), "reason": "forced"})
+    def forced_failure(values, claims):
+        return {claim: {"input": list(values), "reason": "forced"} for claim in claims}
 
-    monkeypatch.setattr(cli, "check_pi_invariant", forced_failure)
+    monkeypatch.setattr(cli, "_check_replay", forced_failure)
     rc, out, _ = run(capsys, "verify", "--checks", "pi", "--n-max", "2")
     assert rc == 1
     payload = json.loads(out)

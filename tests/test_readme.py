@@ -13,6 +13,8 @@ from pathlib import Path
 
 import pytest
 
+from sortlab.cli import main
+
 README = Path(__file__).resolve().parents[1] / "README.md"
 BLOCK = re.compile(r"^```python\n(.*?)^```", re.MULTILINE | re.DOTALL)
 
@@ -38,3 +40,13 @@ def test_readme_example(lineno, source):
     out = []
     result = runner.run(test, out=out.append)
     assert result.failed == 0, "".join(out)
+
+
+def test_readme_sort_example_prints_what_the_cli_prints(tmp_path, capsys):
+    command = "sortlab sort --algo icbics --input 3,1,4,2 --trace trace.jsonl"
+    lines = README.read_text(encoding="utf-8").splitlines()
+    printed = lines[lines.index(command) + 1]
+    argv = [str(tmp_path / arg) if arg == "trace.jsonl" else arg for arg in command.split()[1:]]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == printed + "\n"
+    assert (tmp_path / "trace.jsonl").read_text(encoding="utf-8").count("\n") == 16 + 5
