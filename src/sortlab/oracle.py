@@ -124,11 +124,12 @@ def _summarize(n: int, inputs: Iterator[tuple[int, ...]], seed: Optional[int]) -
 
 
 def exhaustive_summary(n: int) -> OracleSummary:
-    """Run the double-loop sort on every permutation of 1..n and return
-    the exact swap-count extremes with their attaining input sets.
+    """Run the double-loop sort on every permutation of 1..n, for n in
+    0..8, and return the exact swap-count extremes with their attaining
+    input sets.  n = 0 and n = 1 each have one input, with 0 swaps.
     """
-    if not 2 <= n <= EXHAUSTIVE_CAP:
-        raise ValueError(f"exhaustive survey supports 2 <= n <= {EXHAUSTIVE_CAP}, got {n}")
+    if not 0 <= n <= EXHAUSTIVE_CAP:
+        raise ValueError(f"exhaustive survey supports 0 <= n <= {EXHAUSTIVE_CAP}, got {n}")
     return _summarize(n, enumerate_permutations(n), None)
 
 

@@ -3,9 +3,9 @@
 Every sorter takes a sequence of keys (anything with a strict total order
 via ``<``), works on its own copy, and reports totals in a
 :class:`SortReport`.  Pass an observer callable to receive one
-:class:`TraceEvent` per comparison and per swap, in execution order.
-The sorters store no events; ``events.append`` on a list records the
-whole trace.
+:class:`TraceEvent` per comparison and per swap, in execution order;
+its ``seq`` is the number of comparisons and swaps made before it.  The
+sorters store no events; ``events.append`` on a list records them all.
 
 Index convention: arrays are plain Python lists indexed from 0
 internally, but all trace events carry 1-based positions (list index
@@ -40,7 +40,7 @@ class TraceEvent(NamedTuple):
 
     ``i`` and ``j`` are the 1-based positions of the two cells compared
     (the comparison is between ``A[i]`` and ``A[j]``).  ``seq`` is the
-    0-based ordinal of the event within its run and strictly increases.
+    number of comparisons and swaps made before the event: 0, 1, 2, ...
     ``phase`` is meaningful only for ``icbics_sort``: its first outer
     pass is the selection phase, every later pass the insertion phase.
     All other algorithms emit ``not_applicable``.
@@ -89,7 +89,6 @@ def _swap_when_less(values: Sequence[Key], obs: Observer | None, algorithm: str,
     n = len(a)
     comparisons = 0
     swaps = 0
-    seq = 0
     for i in range(0 if square else 1, n):
         inner = range(n) if square else range(i)
         phase = (PHASE_SELECTION if i == 0 else PHASE_INSERTION) if square else PHASE_NA
@@ -97,18 +96,16 @@ def _swap_when_less(values: Sequence[Key], obs: Observer | None, algorithm: str,
         ai = a[i]
         for j in inner:
             aj = a[j]
-            comparisons += 1
             if obs is not None:
-                obs(tuple.__new__(TraceEvent, (seq, KIND_COMPARE, ip, j + 1, phase)))
-                seq += 1
+                obs(tuple.__new__(TraceEvent, (comparisons + swaps, KIND_COMPARE, ip, j + 1, phase)))
+            comparisons += 1
             if ai < aj:
                 a[i] = aj
                 a[j] = ai
                 ai = aj
-                swaps += 1
                 if obs is not None:
-                    obs(tuple.__new__(TraceEvent, (seq, KIND_SWAP, ip, j + 1, phase)))
-                    seq += 1
+                    obs(tuple.__new__(TraceEvent, (comparisons + swaps, KIND_SWAP, ip, j + 1, phase)))
+                swaps += 1
     return SortReport(algorithm, n, comparisons, swaps, a)
 
 
@@ -119,25 +116,22 @@ def _swap_when_greater(values: Sequence[Key], obs: Observer | None, algorithm: s
     n = len(a)
     comparisons = 0
     swaps = 0
-    seq = 0
     for i in range(n):
         inner = range(n) if square else range(i + 1, n)
         ip = i + 1
         ai = a[i]
         for j in inner:
             aj = a[j]
-            comparisons += 1
             if obs is not None:
-                obs(tuple.__new__(TraceEvent, (seq, KIND_COMPARE, ip, j + 1, PHASE_NA)))
-                seq += 1
+                obs(tuple.__new__(TraceEvent, (comparisons + swaps, KIND_COMPARE, ip, j + 1, PHASE_NA)))
+            comparisons += 1
             if aj < ai:
                 a[i] = aj
                 a[j] = ai
                 ai = aj
-                swaps += 1
                 if obs is not None:
-                    obs(tuple.__new__(TraceEvent, (seq, KIND_SWAP, ip, j + 1, PHASE_NA)))
-                    seq += 1
+                    obs(tuple.__new__(TraceEvent, (comparisons + swaps, KIND_SWAP, ip, j + 1, PHASE_NA)))
+                swaps += 1
     return SortReport(algorithm, n, comparisons, swaps, a)
 
 
@@ -212,26 +206,22 @@ def std_insertion_sort(values: Sequence[Key], observer: Observer | None = None) 
     """
     a = list(values)
     n = len(a)
-    obs = observer
     comparisons = 0
     moves = 0
-    seq = 0
     for i in range(1, n):
         k = i
         ak = a[k]
         while k > 0:
             left = a[k - 1]
+            if observer is not None:
+                observer(tuple.__new__(TraceEvent, (comparisons + moves, KIND_COMPARE, k + 1, k, PHASE_NA)))
             comparisons += 1
-            if obs is not None:
-                obs(tuple.__new__(TraceEvent, (seq, KIND_COMPARE, k + 1, k, PHASE_NA)))
-                seq += 1
             if ak < left:
                 a[k] = left
                 a[k - 1] = ak
+                if observer is not None:
+                    observer(tuple.__new__(TraceEvent, (comparisons + moves, KIND_SWAP, k + 1, k, PHASE_NA)))
                 moves += 1
-                if obs is not None:
-                    obs(tuple.__new__(TraceEvent, (seq, KIND_SWAP, k + 1, k, PHASE_NA)))
-                    seq += 1
                 k -= 1
             else:
                 break

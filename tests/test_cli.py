@@ -355,6 +355,29 @@ def test_sort_unwritable_trace_never_runs_the_sorter(capsys, monkeypatch, tmp_pa
         assert "cannot write trace" in err
 
 
+def test_sort_refuses_a_trace_path_naming_the_input_file(capsys, monkeypatch, tmp_path):
+    info = cli.ALGORITHMS["icbics"]
+    calls = []
+
+    def counting(values, observer=None):
+        calls.append(values)
+        return info.func(values, observer)
+
+    monkeypatch.setitem(cli.ALGORITHMS, "icbics", dataclasses.replace(info, func=counting))
+    source = tmp_path / "in.txt"
+    source.write_text("3\n1\n2\n")
+    (tmp_path / "link.txt").symlink_to(source)
+    monkeypatch.chdir(tmp_path)
+    for given, trace in [("in.txt", "in.txt"), ("in.txt", "./in.txt"), ("in.txt", "link.txt"), ("link.txt", "in.txt")]:
+        rc, out, err = run(capsys, "sort", "--input", given, "--trace", trace)
+        assert (rc, out, calls) == (2, "", [])
+        assert f"cannot write trace: {trace!r} is the input file" in err
+        assert source.read_text() == "3\n1\n2\n"
+    rc, out, _ = run(capsys, "sort", "--input", "in.txt", "--trace", "trace.jsonl")
+    assert rc == 0
+    assert json.loads(out)["output"] == [1, 2, 3]
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
 def test_sort_trace_write_failing_mid_sort_is_usage_error(capsys, tmp_path):
     # 100 values make 10,000 compare events, many times one write buffer,
@@ -585,6 +608,9 @@ def test_verify_n_max_out_of_range(capsys, n_max):
         (["verify", "--n-max", "0_3"], "invalid int value"),
         (["verify", "--samples", "\u0663"], "invalid int value"),
         (["verify", "--seed", "\uff11"], "invalid int value"),
+        # A check list with an empty name, as --input and --sizes refuse an empty value.
+        (["verify", "--checks", "pi,,lemma1"], "empty check name"),
+        (["verify", "--checks", "pi,"], "empty check name"),
     ],
 )
 def test_bad_arguments_get_argparse_usage_errors(capsys, argv, phrase):
@@ -725,8 +751,8 @@ def reverse_output(monkeypatch, wanted):
 @pytest.mark.parametrize(
     "target, examined",
     [
-        # Counted as n = 0, n = 1, the permutations of n = 2..4 in
-        # lexicographic order, then the inputs over {1,2,3} of length 1..4.
+        # Counted as the survey's permutations of n = 0..4 in lexicographic
+        # order, then the inputs over {1,2,3} of length 1..4.
         ((2, 1), 4),
         ((2, 3, 1), 8),
         ((1, 1, 2), 2 + 2 + 6 + 24 + 3 + 9 + 2),
@@ -766,9 +792,10 @@ def test_verify_sorts_each_permutation_once(capsys, monkeypatch):
         monkeypatch.setattr(module, "icbics_sort", counting)
     rc, _, _ = run(capsys, "verify", "--n-max", "6")
     assert rc == 0
-    # The survey sorts each of the 2! + ... + 6! = 872 permutations once;
-    # correctness adds only n = 0, 1 and the 120 inputs over {1,2,3}ⁿ,
-    # theorem3 the 5 sorted inputs, and the instability search 5 inputs.
+    # The survey sorts each of the 2! + ... + 6! = 872 permutations once,
+    # and for correctness the two inputs of n <= 1; correctness adds only
+    # the 120 inputs over {1,2,3}ⁿ, theorem3 the 5 sorted inputs, and the
+    # instability search 5 inputs.
     assert len(calls) == 872 + 2 + 120 + 5 + 5
 
 

@@ -124,9 +124,20 @@ def test_exhaustive_summary_records_first_unsorted_output(monkeypatch):
 
 def test_exhaustive_summary_guards():
     with pytest.raises(ValueError):
-        exhaustive_summary(1)
+        exhaustive_summary(-1)
     with pytest.raises(ValueError):
         exhaustive_summary(9)
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_exhaustive_summary_below_two_examines_one_input(n):
+    summary = exhaustive_summary(n)
+    only = tuple(range(1, n + 1))
+    assert (summary.n, summary.inputs_examined) == (n, 1)
+    assert (summary.max_swaps, summary.argmax_inputs) == (0, [only])
+    assert (summary.min_swaps, summary.argmin_inputs) == (0, [only])
+    assert summary.bound_violations == 0
+    assert summary.first_violations == {}
 
 
 def test_random_suite_is_deterministic():
