@@ -191,7 +191,7 @@ def cmd_sort(args: argparse.Namespace) -> int:
         "n": report.n,
         "comparisons": report.comparisons,
         report.swap_label: report.swaps,
-        "output": list(report.output),
+        "output": report.output,
         "sorted": report.output == sorted(values, reverse=info.descending),
     }
     print(json.dumps(payload))
@@ -210,7 +210,7 @@ def _check_sorted(values: Sequence[int], claims: tuple[str, ...]) -> dict[str, d
     output = icbics_sort(values).output
     if output == sorted(values):
         return {}
-    return {"correctness": {"input": list(values), "output": list(output)}}
+    return {"correctness": {"input": values, "output": output}}
 
 
 def _sweep(
@@ -280,16 +280,9 @@ def _verify_theorem2(n_max: int, survey: Survey) -> VerificationVerdict:
         if n >= 3:
             wanted = sorted(theorem2_extremal_inputs(n))
             if summary.argmax_inputs != wanted:
-                counterexample = {
-                    "n": n,
-                    "argmax_inputs": [list(p) for p in summary.argmax_inputs],
-                    "expected": [list(p) for p in wanted],
-                }
+                counterexample = {"n": n, "argmax_inputs": summary.argmax_inputs, "expected": wanted}
                 return VerificationVerdict(False, counterexample, {"per_n": per_n})
-        per_n[str(n)] = {
-            "max_swaps": summary.max_swaps,
-            "argmax_inputs": [list(p) for p in summary.argmax_inputs],
-        }
+        per_n[str(n)] = {"max_swaps": summary.max_swaps, "argmax_inputs": summary.argmax_inputs}
     return VerificationVerdict(True, details={"per_n": per_n})
 
 
@@ -303,7 +296,7 @@ def _verify_theorem3(n_max: int, survey: Survey) -> VerificationVerdict:
         # The bound is tight exactly at the already-sorted input.
         sorted_cost = icbics_sort(range(1, n + 1)).swaps
         if sorted_cost != 2 * (n - 1):
-            counterexample = {"input": list(range(1, n + 1)), "swaps": sorted_cost, "expected": 2 * (n - 1)}
+            counterexample = {"n": n, "sorted_input_swaps": sorted_cost, "expected": 2 * (n - 1)}
             return VerificationVerdict(False, counterexample, {"inputs_examined": examined})
     details = {"inputs_examined": examined, "edge_case": "sorted input costs exactly 2(n-1) swaps at every n checked"}
     return VerificationVerdict(True, details=details)
@@ -322,15 +315,12 @@ def _verify_theorem4(n_max: int, survey: Survey) -> VerificationVerdict:
             counterexample = {
                 "n": n,
                 "min_swaps": summary.min_swaps,
-                "argmin_inputs": [list(p) for p in summary.argmin_inputs],
+                "argmin_inputs": summary.argmin_inputs,
                 "expected_min": n - 1,
-                "expected_argmin": [list(p) for p in wanted],
+                "expected_argmin": wanted,
             }
             return VerificationVerdict(False, counterexample, {"per_n": per_n})
-        per_n[str(n)] = {
-            "min_swaps": summary.min_swaps,
-            "argmin_inputs": [list(p) for p in summary.argmin_inputs],
-        }
+        per_n[str(n)] = {"min_swaps": summary.min_swaps, "argmin_inputs": summary.argmin_inputs}
     return VerificationVerdict(True, details={"per_n": per_n, "inputs_examined": examined})
 
 
@@ -342,15 +332,7 @@ def _verify_instability(n_max: int, survey: Survey) -> VerificationVerdict:
     if witness is None:
         counterexample = {"searched_up_to": limit, "witness": None}
         return VerificationVerdict(False, counterexample, {"searched_up_to": limit})
-    details = {
-        "searched_up_to": limit,
-        "witness": {
-            "input": [[key, tag] for key, tag in witness.input],
-            "output": [[key, tag] for key, tag in witness.output],
-            "violated_pair": list(witness.violated_pair),
-        },
-    }
-    return VerificationVerdict(True, details=details)
+    return VerificationVerdict(True, details={"searched_up_to": limit, "witness": asdict(witness)})
 
 
 # One entry per check id but pi and lemma1, which share one _sweep of _check_replay:
@@ -365,25 +347,20 @@ _CHECKS = {
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    selected = args.checks if args.checks is not None else list(CHECK_IDS)
     # theorem2-4 read one exhaustive survey per n, made once per run.  pi and lemma1
     # come from one sweep over the selected ones, made here; none runs if neither is selected.
     survey = lru_cache(maxsize=None)(exhaustive_summary)
-    replayed = _sweep(_check_replay, tuple(c for c in ("pi", "lemma1") if c in selected), _permutations(args.n_max))
+    replayed = _sweep(_check_replay, tuple(c for c in ("pi", "lemma1") if c in args.checks), _permutations(args.n_max))
     results = {}
     all_passed = True
-    for check_id in selected:
+    for check_id in args.checks:
         verdict = replayed[check_id] if check_id in replayed else _CHECKS[check_id](args.n_max, survey)
-        results[check_id] = {
-            "passed": verdict.passed,
-            "counterexample": verdict.counterexample,
-            "details": verdict.details,
-        }
+        results[check_id] = asdict(verdict)
         all_passed = all_passed and verdict.passed
     payload = {"n_max": args.n_max, "checks": results}
     if args.samples >= 1:
         suite = random_suite(RANDOM_SUITE_N, args.samples, args.seed)
-        suite_ok = suite.bound_violations == 0 and "correctness" not in suite.first_violations
+        suite_ok = not suite.first_violations
         payload["random_suite"] = {
             "n": suite.n,
             "samples": suite.inputs_examined,
@@ -564,7 +541,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument(
         "--checks",
         type=_check_ids,
-        default=None,
+        default=list(CHECK_IDS),
         metavar="IDS",
         help="comma-separated subset of: " + ", ".join(CHECK_IDS) + " (default: all)",
     )

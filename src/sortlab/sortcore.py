@@ -15,14 +15,14 @@ is always emitted immediately after the comparison that triggered it.
 
 The double-loop sorters share one kernel per swap condition:
 ``_swap_when_less`` runs ``icbics_sort`` and ``improved_sort``;
-``_swap_when_greater`` runs ``exchange_sort`` and ``icbics_desc_ineq``,
-which ``icbics_desc_loopswap`` relays.  ``std_insertion_sort`` stops
+``_swap_when_greater`` runs ``exchange_sort``, ``icbics_desc_ineq`` and
+``icbics_desc_loopswap``, which relays its events.  ``std_insertion_sort`` stops
 early, so it keeps its own loop.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence, TypeVar
 
 Key = TypeVar("Key")
@@ -182,8 +182,8 @@ def icbics_desc_loopswap(values: Sequence[Key], observer: Observer | None = None
     output, comparisons and swaps on every input, duplicates included.
 
     Trace events still report ``(i, j)`` as the comparison operands, so
-    here ``j`` is the outer-loop index: each of ``icbics_desc_ineq``'s
-    events is relayed with its ``i`` and ``j`` exchanged.
+    here ``j`` is the outer-loop index: each of the kernel's events is
+    relayed with its ``i`` and ``j`` exchanged.
     """
     relay = None
     if observer is not None:
@@ -192,7 +192,7 @@ def icbics_desc_loopswap(values: Sequence[Key], observer: Observer | None = None
             seq, kind, i, j, phase = event
             observer(tuple.__new__(TraceEvent, (seq, kind, j, i, phase)))
 
-    return replace(icbics_desc_ineq(values, relay), algorithm="icbics-desc-loops")
+    return _swap_when_greater(values, relay, "icbics-desc-loops", square=True)
 
 
 def std_insertion_sort(values: Sequence[Key], observer: Observer | None = None) -> SortReport:

@@ -39,13 +39,15 @@ CHECK_IDS = ("correctness", "pi", "lemma1", "theorem2", "theorem3", "theorem4", 
 class VerificationVerdict:
     """Outcome of one check, on one input or over a sweep.
 
-    ``counterexample`` is None on a pass; on a failure it is a
-    JSON-ready dict holding at least the input plus the location of the
-    violation (failing outer index or event seq) and the expected vs
-    observed values, enough to reproduce the failure by re-running the
-    same check.  ``details`` holds JSON-ready facts about the run, such
-    as how many inputs a sweep examined; the per-input checks here leave
-    it empty, and ``sortlab verify`` prints it beside the verdict.
+    ``counterexample`` is None on a pass; on a failure it is a dict
+    holding at least the input plus the location of the violation
+    (failing outer index or event seq) and the expected vs observed
+    values, enough to reproduce the failure by re-running the same
+    check.  ``details`` holds facts about the run, such as how many
+    inputs a sweep examined; the per-input checks here leave it empty.
+    Both hold only values ``json.dumps`` prints unchanged, tuples
+    included (as arrays), so ``sortlab verify`` prints
+    ``dataclasses.asdict`` of each verdict as it is.
     """
 
     passed: bool

@@ -19,7 +19,7 @@ import sortlab.cli as cli
 import sortlab.oracle
 import sortlab.verify
 from sortlab import SortReport, TraceEvent, check_lemma1, check_pi_invariant, check_theorem_bounds, icbics_sort
-from sortlab.sortcore import KIND_COMPARE, KIND_SWAP, PHASE_INSERTION, PHASE_SELECTION
+from sortlab.sortcore import KIND_COMPARE, KIND_SWAP, PHASE_INSERTION, PHASE_SELECTION, std_insertion_sort
 
 THEOREMS = {"theorem2", "theorem3", "theorem4"}
 
@@ -60,12 +60,13 @@ def test_the_identity_mutant_is_icbics_sort():
         assert ours == theirs
 
 
-def verify_under(monkeypatch, capsys, sort):
-    """Run ``verify --n-max 5 --samples 50 --seed 1`` with ``sort`` in
-    place of ``icbics_sort``; return the exit code and the printed JSON."""
+def verify_under(monkeypatch, capsys, sort, argv=("--n-max", "5", "--samples", "50", "--seed", "1")):
+    """Run ``verify`` with ``argv``, by default ``--n-max 5 --samples 50
+    --seed 1``, and ``sort`` in place of ``icbics_sort``; return the exit
+    code and the printed JSON."""
     for module in (sortlab.oracle, sortlab.verify, cli):
         monkeypatch.setattr(module, "icbics_sort", sort)
-    rc = cli.main(["verify", "--n-max", "5", "--samples", "50", "--seed", "1"])
+    rc = cli.main(["verify", *argv])
     return rc, json.loads(capsys.readouterr().out)
 
 
@@ -97,21 +98,42 @@ def test_verify_fails_exactly_the_checks_a_mutant_breaks(monkeypatch, capsys, so
     rc, payload = verify_under(monkeypatch, capsys, sort)
     assert failing(payload) == caught
     assert rc == (1 if caught else 0)
-    # Every per-input counterexample comes back the same from its check run again on
-    # its input.  theorem3 also claims its bound is tight at the sorted input, which
-    # check_theorem_bounds does not check.
-    tight = lambda values: {"input": values, "swaps": sort(values).swaps, "expected": 2 * (len(values) - 1)}
+    # Every per-input counterexample comes back the same from its check run again on its input.
     recheck = {
         "correctness": lambda values: {"input": values, "output": sort(values).output},
         "pi": lambda values: check_pi_invariant(values).counterexample,
         "lemma1": lambda values: check_lemma1(values).counterexample,
-        "theorem3": lambda values: check_theorem_bounds(values).counterexample or tight(values),
+        "theorem3": lambda values: check_theorem_bounds(values).counterexample,
         "theorem4": lambda values: check_theorem_bounds(values).counterexample,
     }
     for check, entry in payload["checks"].items():
         counterexample = entry["counterexample"]
         if counterexample is not None and "input" in counterexample:
             assert recheck[check](counterexample["input"]) == counterexample
+
+
+def test_theorem3_reports_an_untight_sorted_input_per_n(monkeypatch, capsys):
+    # Dropping comparator (2, 1) leaves every input inside theorem3's bound, but the
+    # sorted input of length 2 costs one swap, not 2(n - 1) = 2.
+    drop_2_1 = mutant(compares=lambda n, i, j: (i, j) != (2, 1))
+    rc, payload = verify_under(monkeypatch, capsys, drop_2_1, ("--n-max", "5", "--checks", "theorem3"))
+    assert rc == 1
+    assert payload["checks"]["theorem3"] == {
+        "passed": False,
+        "counterexample": {"n": 2, "sorted_input_swaps": 1, "expected": 2},
+        "details": {"inputs_examined": 2},
+    }
+
+
+def test_instability_fails_when_the_witness_search_sorts_stably(monkeypatch, capsys):
+    monkeypatch.setattr(sortlab.verify, "icbics_sort", std_insertion_sort)
+    rc = cli.main(["verify", "--checks", "instability"])
+    assert rc == 1
+    assert json.loads(capsys.readouterr().out)["checks"]["instability"] == {
+        "passed": False,
+        "counterexample": {"searched_up_to": 3, "witness": None},
+        "details": {"searched_up_to": 3},
+    }
 
 
 @pytest.mark.xfail(
