@@ -3,9 +3,11 @@ Growth curves
 =============
 
 Times all six algorithms on doubling input sizes and prints a small
-table.  Comparison counts are exact functions of n, so those columns
-double-check the counting; the wall-time column shows the quadratic
-growth (a factor near 4 per doubling).
+table.  Every comparison count but std-insertion's is an exact function
+of n, so those columns double-check the counting: the sorters add each
+outer pass's comparisons at once, not one per comparison, and the
+closed forms count every comparison.  The wall-time column shows the
+quadratic growth (a factor near 4 per doubling).
 """
 
 from sortlab.cli import collect_bench_records, summarize_bench

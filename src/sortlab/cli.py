@@ -415,11 +415,12 @@ def collect_bench_records(
             raise ValueError(f"unknown algorithm id: {name}")
     if reps < 1:
         raise ValueError(f"reps must be >= 1, got {reps}")
-    rng = random.Random(seed)
-    records = []
     for n in sizes:
         if n < 0:
             raise ValueError(f"sizes must be >= 0, got {n}")
+    rng = random.Random(seed)
+    records = []
+    for n in sizes:
         for rep in range(reps):
             data = list(range(1, n + 1))
             rng.shuffle(data)

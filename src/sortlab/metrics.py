@@ -29,13 +29,16 @@ def count_inversions(a: Sequence) -> int:
 
 def inversion_delta(a: Sequence, p: int, q: int) -> int:
     """Change in ``count_inversions(a)`` if ``a[p]`` and ``a[q]`` were
-    exchanged, in O(|q - p|) without touching ``a``.  Distinct keys only.
+    exchanged, in O(|q - p|) without touching ``a``.
 
-    With ``p < q``, ``x = a[p]`` and ``y = a[q]``: the pair (p, q) flips,
-    and so does each pair (p, k) and (k, q) for ``p < k < q`` whose
-    ``a[k]`` lies strictly between x and y; every other pair keeps its
-    order.  So the change is ``+(1 + 2c)`` when ``x < y`` and
-    ``-(1 + 2c)`` when ``x > y``, where c counts those in-between cells.
+    With ``p < q``, ``x = a[p]`` and ``y = a[q]``: equal keys change
+    nothing.  Otherwise the pair (p, q) flips; each cell ``k`` between
+    them whose ``a[k]`` lies strictly between x and y flips both (p, k)
+    and (k, q); a cell equal to x or y flips one of the two; every other
+    pair keeps its order.  So the change is ``+(1 + 2c + e)`` when
+    ``x < y`` and ``-(1 + 2c + e)`` when ``x > y``, where c counts the
+    in-between cells strictly inside and e those equal to x or y.  Only
+    ``<`` is used, as in :func:`count_inversions`.
     """
     if p > q:
         p, q = q, p
@@ -43,12 +46,24 @@ def inversion_delta(a: Sequence, p: int, q: int) -> int:
         return 0
     x = a[p]
     y = a[q]
-    lo, hi, sign = (x, y, 1) if x < y else (y, x, -1)
+    if x < y:
+        lo, hi, sign = x, y, 1
+    elif y < x:
+        lo, hi, sign = y, x, -1
+    else:
+        return 0
     between = 0
+    ends = 0
     for k in range(p + 1, q):
-        if lo < a[k] < hi:
-            between += 1
-    return sign * (1 + 2 * between)
+        v = a[k]
+        if lo < v:
+            if v < hi:
+                between += 1
+            elif not hi < v:
+                ends += 1
+        elif not v < lo:
+            ends += 1
+    return sign * (1 + 2 * between + ends)
 
 
 def max_inversions(n: int) -> int:

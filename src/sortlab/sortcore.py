@@ -18,6 +18,13 @@ The double-loop sorters share one kernel per swap condition:
 ``_swap_when_greater`` runs ``exchange_sort``, ``icbics_desc_ineq`` and
 ``icbics_desc_loopswap``, which relays its events.  ``std_insertion_sort`` stops
 early, so it keeps its own loop.
+
+Bare and traced runs share that one loop per kernel.  It counts
+comparisons once per outer pass, not once per comparison: the length of
+the range the double loops walk, and for ``std_insertion_sort`` the
+steps its ``while`` took.  Each event's ``seq`` comes from an offset
+fixed at the start of the pass, plus the inner index, rising by one per
+swap.  Only swaps are counted one by one.
 """
 
 from __future__ import annotations
@@ -84,7 +91,12 @@ Observer = Callable[[TraceEvent], None]
 
 def _swap_when_less(values: Sequence[Key], obs: Observer | None, algorithm: str, square: bool) -> SortReport:
     """Swap when ``A[i] < A[j]``; ``square`` sets each outer pass's
-    start, inner range and phase, and is never read per comparison."""
+    start, inner range and phase, and is never read per comparison.
+
+    Each pass adds ``len(inner)`` comparisons once.  The compare at ``j``
+    has seq ``offset + j``, with ``offset`` the pass's starting
+    ``comparisons + swaps - inner.start``, raised by one per swap.
+    """
     a = list(values)
     n = len(a)
     comparisons = 0
@@ -94,24 +106,27 @@ def _swap_when_less(values: Sequence[Key], obs: Observer | None, algorithm: str,
         phase = (PHASE_SELECTION if i == 0 else PHASE_INSERTION) if square else PHASE_NA
         ip = i + 1
         ai = a[i]
+        offset = comparisons + swaps - inner.start
         for j in inner:
             aj = a[j]
             if obs is not None:
-                obs(tuple.__new__(TraceEvent, (comparisons + swaps, KIND_COMPARE, ip, j + 1, phase)))
-            comparisons += 1
+                obs(tuple.__new__(TraceEvent, (offset + j, KIND_COMPARE, ip, j + 1, phase)))
             if ai < aj:
                 a[i] = aj
                 a[j] = ai
                 ai = aj
-                if obs is not None:
-                    obs(tuple.__new__(TraceEvent, (comparisons + swaps, KIND_SWAP, ip, j + 1, phase)))
                 swaps += 1
+                if obs is not None:
+                    offset += 1
+                    obs(tuple.__new__(TraceEvent, (offset + j, KIND_SWAP, ip, j + 1, phase)))
+        comparisons += len(inner)
     return SortReport(algorithm, n, comparisons, swaps, a)
 
 
 def _swap_when_greater(values: Sequence[Key], obs: Observer | None, algorithm: str, square: bool) -> SortReport:
     """Swap when ``A[i] > A[j]``, tested as ``A[j] < A[i]`` because keys
-    define only ``<``; ``square`` sets each outer pass's inner range."""
+    define only ``<``; ``square`` sets each outer pass's inner range.
+    Counts and seqs come per pass, as in :func:`_swap_when_less`."""
     a = list(values)
     n = len(a)
     comparisons = 0
@@ -120,18 +135,20 @@ def _swap_when_greater(values: Sequence[Key], obs: Observer | None, algorithm: s
         inner = range(n) if square else range(i + 1, n)
         ip = i + 1
         ai = a[i]
+        offset = comparisons + swaps - inner.start
         for j in inner:
             aj = a[j]
             if obs is not None:
-                obs(tuple.__new__(TraceEvent, (comparisons + swaps, KIND_COMPARE, ip, j + 1, PHASE_NA)))
-            comparisons += 1
+                obs(tuple.__new__(TraceEvent, (offset + j, KIND_COMPARE, ip, j + 1, PHASE_NA)))
             if aj < ai:
                 a[i] = aj
                 a[j] = ai
                 ai = aj
-                if obs is not None:
-                    obs(tuple.__new__(TraceEvent, (comparisons + swaps, KIND_SWAP, ip, j + 1, PHASE_NA)))
                 swaps += 1
+                if obs is not None:
+                    offset += 1
+                    obs(tuple.__new__(TraceEvent, (offset + j, KIND_SWAP, ip, j + 1, PHASE_NA)))
+        comparisons += len(inner)
     return SortReport(algorithm, n, comparisons, swaps, a)
 
 
@@ -203,6 +220,12 @@ def std_insertion_sort(values: Sequence[Key], observer: Observer | None = None) 
     adjacent exchanges and reported as swap events, so the count is
     comparable with the other sorters' swap counts; the report labels
     the field "moves".  Stable: equal keys keep their input order.
+
+    Each pass inserts ``A[i]`` in ``i - k`` moves, stopping at cell
+    ``k``, and adds the count once after its ``while``: ``i - k`` moves
+    and ``i - k + (k > 0)`` comparisons, the last one finding no move.
+    The compare at ``k`` has seq ``offset - k``, with ``offset`` the
+    pass's starting ``comparisons + moves + i``, raised by one per move.
     """
     a = list(values)
     n = len(a)
@@ -211,20 +234,22 @@ def std_insertion_sort(values: Sequence[Key], observer: Observer | None = None) 
     for i in range(1, n):
         k = i
         ak = a[k]
+        offset = comparisons + moves + i
         while k > 0:
             left = a[k - 1]
             if observer is not None:
-                observer(tuple.__new__(TraceEvent, (comparisons + moves, KIND_COMPARE, k + 1, k, PHASE_NA)))
-            comparisons += 1
+                observer(tuple.__new__(TraceEvent, (offset - k, KIND_COMPARE, k + 1, k, PHASE_NA)))
             if ak < left:
                 a[k] = left
                 a[k - 1] = ak
                 if observer is not None:
-                    observer(tuple.__new__(TraceEvent, (comparisons + moves, KIND_SWAP, k + 1, k, PHASE_NA)))
-                moves += 1
+                    offset += 1
+                    observer(tuple.__new__(TraceEvent, (offset - k, KIND_SWAP, k + 1, k, PHASE_NA)))
                 k -= 1
             else:
                 break
+        moves += i - k
+        comparisons += i - k + (k > 0)
     return SortReport("std-insertion", n, comparisons, moves, a, swap_label="moves")
 
 

@@ -1021,6 +1021,22 @@ def test_collect_bench_records_guards():
         collect_bench_records([-1], reps=1, seed=0)
 
 
+def test_collect_bench_records_checks_every_size_before_sorting(monkeypatch):
+    # A bad size late in the list is refused before any sorter runs.
+    calls = []
+    for name, info in list(cli.ALGORITHMS.items()):
+        def counting(values, observer=None, _func=info.func):
+            calls.append(len(values))
+            return _func(values, observer)
+
+        monkeypatch.setitem(cli.ALGORITHMS, name, dataclasses.replace(info, func=counting))
+    with pytest.raises(ValueError, match="sizes must be >= 0, got -1"):
+        collect_bench_records([512, -1], reps=1, seed=0)
+    assert calls == []
+    collect_bench_records([3], reps=1, seed=0)
+    assert calls == [3] * len(cli.ALGORITHMS)
+
+
 def test_summarize_bench_groups_by_algorithm():
     records = collect_bench_records([6], reps=3, seed=1, algorithms=["icbics", "exchange"])
     summary = summarize_bench(records)

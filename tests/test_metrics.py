@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import random
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given
@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from reference import merge_count_inversions
 from sortlab import (
+    Tagged,
     count_inversions,
     inversion_delta,
     max_inversions,
@@ -38,16 +39,36 @@ def test_count_inversions_examples(values, expected):
     assert count_inversions(values) == expected
 
 
+def assert_delta_is_the_recount_change(values):
+    before = count_inversions(values)
+    for p in range(len(values)):
+        for q in range(len(values)):
+            swapped = list(values)
+            swapped[p], swapped[q] = swapped[q], swapped[p]
+            assert inversion_delta(values, p, q) == count_inversions(swapped) - before, (values, p, q)
+
+
 def test_inversion_delta_matches_full_recount():
     # The full O(n^2) recount stays the reference for the O(q - p) delta.
     for n in range(0, 7):
         for perm in permutations(range(1, n + 1)):
-            before = count_inversions(perm)
-            for p in range(n):
-                for q in range(n):
-                    swapped = list(perm)
-                    swapped[p], swapped[q] = swapped[q], swapped[p]
-                    assert inversion_delta(perm, p, q) == count_inversions(swapped) - before, (perm, p, q)
+            assert_delta_is_the_recount_change(perm)
+
+
+def test_inversion_delta_matches_full_recount_with_duplicates():
+    # Every input over {1,2,3}^n for n = 2..6 and every (p, q): 33,894
+    # cases.  Equal keys change nothing, and a cell between p and q equal
+    # to one of the swapped keys flips one pair, not two.
+    assert inversion_delta((1, 1), 0, 1) == 0
+    assert inversion_delta((1, 1, 2), 0, 2) == 2
+    for n in range(2, 7):
+        for values in product((1, 2, 3), repeat=n):
+            assert_delta_is_the_recount_change(values)
+
+
+def test_inversion_delta_needs_only_less_than():
+    # Keys that define only ``<``, as count_inversions allows.
+    assert_delta_is_the_recount_change([Tagged(k, str(t)) for t, k in enumerate([2, 1, 2, 3, 1, 2])])
 
 
 def test_max_inversions_values():

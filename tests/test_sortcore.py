@@ -230,6 +230,31 @@ def test_trace_protocol(name):
         assert replay_trace(values, events) == report.output
 
 
+@pytest.mark.parametrize("name", list(ALGORITHMS))
+def test_bare_and_traced_runs_agree(name):
+    # Bare and traced runs share one loop, which counts comparisons once
+    # per pass and gives each event a seq from a per-pass offset.  At
+    # n = 300 the counts and seqs are far past CPython's small-int cache.
+    func = ALGORITHMS[name].func
+    for n in range(0, 7):
+        for values in product((1, 2, 3), repeat=n):
+            events = []
+            assert func(values, events.append) == func(values), values
+    rng = random.Random(1)
+    distinct = list(range(1, 301))
+    rng.shuffle(distinct)
+    duplicates = [rng.randrange(1, 40) for _ in range(300)]
+    for values in (distinct, duplicates):
+        events = []
+        report = func(values, events.append)
+        assert report == func(values)
+        assert [e.seq for e in events] == list(range(len(events)))
+        kinds = [e.kind for e in events]
+        assert kinds.count("compare") == report.comparisons
+        assert kinds.count("swap") == report.swaps
+        assert replay_trace(values, events) == report.output
+
+
 @pytest.mark.parametrize("name", ["icbics", "exchange", "improved", "icbics-desc-ineq"])
 def test_compare_order_follows_the_readme_loops(name):
     # README's loops, 1-based.  The (i, j) order depends on n alone, so a
