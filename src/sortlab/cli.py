@@ -17,6 +17,7 @@ import json
 import os
 import random
 import re
+import string
 import sys
 import time
 from contextlib import nullcontext
@@ -67,7 +68,8 @@ RANDOM_SUITE_N = 64
 
 def _read_int(text: str) -> int:
     # The one integer reader for input and arguments: ASCII digits, an optional sign, no "_".
-    if re.fullmatch(r"[+-]?[0-9]+", text.strip()) is None:
+    # Here and in every reader, only ASCII whitespace pads a value.
+    if re.fullmatch(r"[+-]?[0-9]+", text.strip(string.whitespace)) is None:
         raise ValueError(f"not a decimal integer: {text!r}")
     return int(text)
 
@@ -76,13 +78,13 @@ def parse_int_values(text: str) -> list[int]:
     """Parse integers from either format: one per line, or a single
     comma-separated line.  Blank input means an empty list.
     """
-    stripped = text.strip()
+    stripped = text.strip(string.whitespace)
     if not stripped:
         return []
     if "," in stripped:
-        tokens = [tok.strip() for tok in stripped.split(",")]
+        tokens = [tok.strip(string.whitespace) for tok in stripped.split(",")]
     else:
-        tokens = stripped.split()
+        tokens = re.split(r"\s+", stripped, flags=re.ASCII)
     return [_read_int(tok) for tok in tokens]
 
 
@@ -99,7 +101,8 @@ def _read_input_values(source: str) -> list[int]:
 
 
 # The kinds and phases sorters emit.  Each loaded one is swapped for the module's
-# own string, so a long trace holds no per-event copies of these few values.
+# own string, so a long trace holds no per-event copies of these few values;
+# load_trace likewise reads each distinct position into one shared int.
 _TRACE_KINDS = {kind: kind for kind in (KIND_COMPARE, KIND_SWAP)}
 _TRACE_PHASES = {phase: phase for phase in (PHASE_SELECTION, PHASE_INSERTION, PHASE_NA)}
 # The one trace line grammar, spaced and ordered as _write_trace_line writes it.
@@ -114,14 +117,15 @@ def _write_trace_line(write: Callable[[str], object], event: TraceEvent) -> None
     write(f'{{"seq": {seq}, "kind": "{kind}", "i": {i}, "j": {j}, "phase": "{phase}"}}\n')
 
 
-def _read_trace_line(number: int, line: str, last_seq: int) -> TraceEvent:
-    # The one trace line reader: a stripped line of the grammar with seq above last_seq.
+def _read_trace_line(number: int, line: str, last_seq: int, position: Callable[[str], int] = int) -> TraceEvent:
+    # The one trace line reader: a stripped line of the grammar with seq above last_seq,
+    # its positions read by ``position``, which refuses what int refuses.
     match = _TRACE_LINE.fullmatch(line)
     try:
         if match is None:
             raise ValueError(f"not of the form {_TRACE_LINE.pattern}")
         seq, kind, i, j, phase = match.groups()
-        seq, i, j = int(seq), int(i), int(j)  # int refuses an integer past Python's limit on digits
+        seq, i, j = int(seq), position(i), position(j)  # int refuses an integer past Python's limit on digits
         if seq <= last_seq:
             raise ValueError(f"seq does not rise above {last_seq}")
     except ValueError as err:  # echoes at most 200 characters of a refused line
@@ -149,19 +153,22 @@ def write_trace(path: str, events: Iterable[TraceEvent]) -> None:
 def load_trace(path: str) -> list[TraceEvent]:
     """Read a trace that ``sort --trace`` wrote back into events.
 
-    Each non-blank line must be one event in the writer's grammar, with
-    its spacing and key order: ``seq`` from 0 and rising, ``i`` and ``j``
-    from 1, a kind and phase that sorters emit.  Raises ``ValueError``,
-    naming the 1-based line, on any other line.
+    Each line that is not blank (only ASCII whitespace) must be one event
+    in the writer's grammar, with its spacing and key order: ``seq`` from
+    0 and rising (gaps allowed), ``i`` and ``j`` from 1, a kind and phase
+    that sorters emit.  Raises ``ValueError``, naming the 1-based line, on
+    any other line.  Events share their kind and phase strings and one int
+    per distinct position, so a loaded event costs about 121 bytes.
     """
     events = []
     last_seq = -1
+    position = lru_cache(maxsize=None)(int)  # one int object per distinct position, for this call
     # Bytes that are not UTF-8 read as U+FFFD, which the grammar refuses with its line.
     with open(path, "r", encoding="utf-8", errors="replace") as fh:
         for number, line in enumerate(fh, 1):
-            line = line.strip()
+            line = line.strip(string.whitespace)
             if line:
-                event = _read_trace_line(number, line, last_seq)
+                event = _read_trace_line(number, line, last_seq, position)
                 last_seq = event[0]
                 events.append(event)
     return events
@@ -477,7 +484,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 
 def _check_ids(text: str) -> list[str]:
-    names = [tok.strip() for tok in text.split(",")]
+    names = [tok.strip(string.whitespace) for tok in text.split(",")]
     if "" in names:
         raise argparse.ArgumentTypeError(f"empty check name in {text!r}")
     unknown = sorted(set(names) - set(CHECK_IDS))

@@ -30,7 +30,7 @@ swap.  Only swaps are counted one by one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence, TypeVar
+from typing import Callable, Iterable, NamedTuple, Sequence, TypeVar
 
 Key = TypeVar("Key")
 
@@ -253,15 +253,16 @@ def std_insertion_sort(values: Sequence[Key], observer: Observer | None = None) 
     return SortReport("std-insertion", n, comparisons, moves, a, swap_label="moves")
 
 
-def replay_trace(values: Sequence[Key], events: Sequence[TraceEvent]) -> list:
+def replay_trace(values: Sequence[Key], events: Iterable[TraceEvent]) -> list:
     """Re-apply a recorded trace to a copy of ``values``.
 
-    Swap events exchange the named 1-based positions; comparison events
-    carry no state change.  Replaying a full trace reproduces the
-    originating run's output exactly.  Raises ``ValueError`` on an
-    event naming a position outside 1..n or a kind other than
-    ``compare`` and ``swap``, rather than letting Python's negative
-    indexing wrap position 0 round to the last cell.
+    ``events`` may be any iterable, a generator included: it is walked
+    once, in order.  Swap events exchange the named 1-based positions;
+    comparison events carry no state change.  Replaying a full trace
+    reproduces the originating run's output exactly.  Raises
+    ``ValueError`` on an event naming a position outside 1..n or a kind
+    other than ``compare`` and ``swap``, rather than letting Python's
+    negative indexing wrap position 0 round to the last cell.
     """
     work = list(values)
     n = len(work)

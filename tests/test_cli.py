@@ -81,13 +81,20 @@ def test_parse_int_values_rejects_garbage():
         parse_int_values("1,two,3")
 
 
-@pytest.mark.parametrize("text", ["1_0,2", "\uff13,\u0661", "2,\u00b2", "1 0_0", "+-1", "0x10", "1.0"])
+@pytest.mark.parametrize(
+    "text", ["1_0,2", "\uff13,\u0661", "2,\u00b2", "1 0_0", "+-1", "0x10", "1.0", "5,\x1f3", "5\u30003", "\x854"]
+)
 def test_parse_int_values_takes_only_ascii_decimal_integers(text):
     with pytest.raises(ValueError, match="not a decimal integer"):
         parse_int_values(text)
 
 
-@pytest.mark.parametrize("values", ["1_0,2", "\uff13,\u0661"], ids=["underscore", "non-ascii-digits"])
+# Only ASCII whitespace pads or parts values: "\x1f" is whitespace to str.split, not to sort.
+@pytest.mark.parametrize(
+    "values",
+    ["1_0,2", "\uff13,\u0661", "5,\x1f3", "5\x1f3"],
+    ids=["underscore", "non-ascii-digits", "non-ascii-space", "non-ascii-separator"],
+)
 def test_sort_refuses_integers_not_in_ascii_decimal(capsys, values):
     rc, out, err = run(capsys, "sort", "--input", values)
     assert rc == 2
@@ -192,6 +199,28 @@ def test_load_trace_shares_the_kind_and_phase_constants(tmp_path, capsys):
     assert all(e.phase is PHASE_SELECTION or e.phase is PHASE_INSERTION for e in events)
 
 
+def test_load_trace_shares_one_int_per_position(tmp_path, capsys):
+    # At n = 300 most positions lie past 256, beyond CPython's cache of small ints.
+    trace_path = tmp_path / "trace.jsonl"
+    values = ",".join(map(str, range(300, 0, -1)))
+    assert run(capsys, "sort", "--input", values, "--trace", str(trace_path))[0] == 0
+    shared = {}
+    for event in load_trace(str(trace_path)):
+        assert shared.setdefault(event.i, event.i) is event.i
+        assert shared.setdefault(event.j, event.j) is event.j
+    assert sorted(shared) == list(range(1, 301))
+
+
+def test_replay_trace_takes_a_generator_over_the_loaded_events(tmp_path, capsys):
+    trace_path = tmp_path / "trace.jsonl"
+    values = [4, 7, 1, 6, 3, 5, 2, 9, 8]
+    rc, out, _ = run(capsys, "sort", "--input", ",".join(map(str, values)), "--trace", str(trace_path))
+    assert rc == 0
+    events = load_trace(str(trace_path))
+    replayed = replay_trace(values, (event for event in events))
+    assert replayed == replay_trace(values, events) == json.loads(out)["output"]
+
+
 @pytest.mark.parametrize(
     "line",
     [
@@ -253,18 +282,28 @@ def test_load_trace_rejects_unknown_kind_or_phase(tmp_path, line):
         pytest.param('{"seq": 0, "kind": "swap", "i": 0, "j": 2, "phase": "selection"}', id="position-zero"),
         pytest.param('{"seq": 0, "kind": "swap", "i": 1, "j": -5, "phase": "selection"}', id="negative-position"),
         pytest.param("x" * 1_000_000, id="long-garbage"),
+        # Characters that str.strip takes for whitespace but ASCII does not.
+        pytest.param('\x1c{"seq": 0, "kind": "swap", "i": 1, "j": 2, "phase": "selection"}\x1c', id="wrapped-in-fs"),
+        pytest.param(
+            '\u3000{"seq": 0, "kind": "swap", "i": 1, "j": 2, "phase": "selection"}\u3000',
+            id="wrapped-in-ideographic-space",
+        ),
+        pytest.param('\x85{"seq": 0, "kind": "swap", "i": 1, "j": 2, "phase": "selection"}\x85', id="wrapped-in-nel"),
+        pytest.param('{"seq": 0, "kind": "swap", "i": 1, "j": 2, "phase": "selection"}\n\x1d', id="gs-only-line"),
     ],
 )
 def test_load_trace_rejects_malformed_events(tmp_path, text):
     trace_path = tmp_path / "trace.jsonl"
+    newline = b"\n" if isinstance(text, bytes) else "\n"
     if isinstance(text, bytes):
-        trace_path.write_bytes(text + b"\n")
+        trace_path.write_bytes(text + newline)
     else:
-        trace_path.write_text(text + "\n")
+        trace_path.write_text(text + newline, encoding="utf-8")
     with pytest.raises(ValueError) as refused:
         load_trace(str(trace_path))
     # The bad line is the last one, and the message names it and echoes at most a short part of it.
-    assert str(refused.value).startswith(f"trace line {len(text.splitlines())}: ")
+    # Lines end at "\n" alone, as load_trace reads them; str.splitlines would also end one at "\x1c".
+    assert str(refused.value).startswith(f"trace line {text.count(newline) + 1}: ")
     assert len(str(refused.value)) < 1024
 
 
@@ -611,6 +650,11 @@ def test_verify_n_max_out_of_range(capsys, n_max):
         # A check list with an empty name, as --input and --sizes refuse an empty value.
         (["verify", "--checks", "pi,,lemma1"], "empty check name"),
         (["verify", "--checks", "pi,"], "empty check name"),
+        # Only ASCII whitespace pads a value or parts a list.
+        (["verify", "--n-max", "\u30002"], "invalid int value"),
+        (["verify", "--samples", "3\x85"], "invalid int value"),
+        (["verify", "--checks", "pi,\u3000lemma1"], "unknown checks"),
+        (["bench", "--sizes", "8\x1f16"], "expected comma-separated integers"),
     ],
 )
 def test_bad_arguments_get_argparse_usage_errors(capsys, argv, phrase):
