@@ -103,8 +103,7 @@ def _read_input_values(source: str) -> list[int]:
 # The kinds and phases sorters emit.  Each loaded one is swapped for the module's
 # own string, so a long trace holds no per-event copies of these few values;
 # load_trace likewise reads each distinct position into one shared int.
-_TRACE_KINDS = {kind: kind for kind in (KIND_COMPARE, KIND_SWAP)}
-_TRACE_PHASES = {phase: phase for phase in (PHASE_SELECTION, PHASE_INSERTION, PHASE_NA)}
+_TRACE_WORDS = {word: word for word in (KIND_COMPARE, KIND_SWAP, PHASE_SELECTION, PHASE_INSERTION, PHASE_NA)}
 # The one trace line grammar, spaced and ordered as _write_trace_line writes it.
 _TRACE_LINE = re.compile(
     r'{"seq": (0|[1-9][0-9]*), "kind": "(compare|swap)", "i": ([1-9][0-9]*), "j": ([1-9][0-9]*), '
@@ -117,7 +116,7 @@ def _write_trace_line(write: Callable[[str], object], event: TraceEvent) -> None
     write(f'{{"seq": {seq}, "kind": "{kind}", "i": {i}, "j": {j}, "phase": "{phase}"}}\n')
 
 
-def _read_trace_line(number: int, line: str, last_seq: int, position: Callable[[str], int] = int) -> TraceEvent:
+def _read_trace_line(number: int, line: str, last_seq: int, position: Callable[[str], int]) -> TraceEvent:
     # The one trace line reader: a stripped line of the grammar with seq above last_seq,
     # its positions read by ``position``, which refuses what int refuses.
     match = _TRACE_LINE.fullmatch(line)
@@ -131,7 +130,7 @@ def _read_trace_line(number: int, line: str, last_seq: int, position: Callable[[
     except ValueError as err:  # echoes at most 200 characters of a refused line
         shown = line if len(line) <= 200 else f"{line[:200]}... ({len(line)} characters)"
         raise ValueError(f"trace line {number}: {err}: {shown}") from None
-    return tuple.__new__(TraceEvent, (seq, _TRACE_KINDS[kind], i, j, _TRACE_PHASES[phase]))
+    return tuple.__new__(TraceEvent, (seq, _TRACE_WORDS[kind], i, j, _TRACE_WORDS[phase]))
 
 
 def write_trace(path: str, events: Iterable[TraceEvent]) -> None:
@@ -143,7 +142,7 @@ def write_trace(path: str, events: Iterable[TraceEvent]) -> None:
         for number, event in enumerate(events, 1):
             lines = []
             _write_trace_line(lines.append, event)
-            read = _read_trace_line(number, lines[0].strip(), last_seq)
+            read = _read_trace_line(number, lines[0][:-1], last_seq, int)
             if read != event:
                 raise ValueError(f"trace line {number}: {event!r} would read back as {read!r}")
             last_seq = read[0]
@@ -164,7 +163,8 @@ def load_trace(path: str) -> list[TraceEvent]:
     last_seq = -1
     position = lru_cache(maxsize=None)(int)  # one int object per distinct position, for this call
     # Bytes that are not UTF-8 read as U+FFFD, which the grammar refuses with its line.
-    with open(path, "r", encoding="utf-8", errors="replace") as fh:
+    # Lines end at "\n" alone; the strip takes a "\r" before it, and the grammar refuses one inside.
+    with open(path, "r", encoding="utf-8", errors="replace", newline="\n") as fh:
         for number, line in enumerate(fh, 1):
             line = line.strip(string.whitespace)
             if line:
@@ -240,10 +240,6 @@ def _sweep(
     for claim in claims:
         verdicts[claim] = VerificationVerdict(True, details={"inputs_examined": examined})
     return verdicts
-
-
-def _permutations(n_max: int) -> Iterable[tuple[int, ...]]:
-    return chain.from_iterable(enumerate_permutations(n) for n in range(1, n_max + 1))
 
 
 def _survey_failure(
@@ -357,7 +353,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     # theorem2-4 read one exhaustive survey per n, made once per run.  pi and lemma1
     # come from one sweep over the selected ones, made here; none runs if neither is selected.
     survey = lru_cache(maxsize=None)(exhaustive_summary)
-    replayed = _sweep(_check_replay, tuple(c for c in ("pi", "lemma1") if c in args.checks), _permutations(args.n_max))
+    permutations = chain.from_iterable(enumerate_permutations(n) for n in range(1, args.n_max + 1))
+    replayed = _sweep(_check_replay, tuple(c for c in ("pi", "lemma1") if c in args.checks), permutations)
     results = {}
     all_passed = True
     for check_id in args.checks:
@@ -597,13 +594,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
-        # argparse has already printed a usage message; fold its exit
-        # code into the return-value convention so callers never see
-        # SystemExit from main().
-        code = exc.code
-        if code is None:
-            return 0
-        return code if isinstance(code, int) else 2
+        # argparse has already printed its help or usage message and exits only with 0 or 2;
+        # return that code so callers never see SystemExit from main().
+        return exc.code
     return args.handler(args)
 
 

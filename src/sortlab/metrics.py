@@ -38,8 +38,12 @@ def inversion_delta(a: Sequence, p: int, q: int) -> int:
     pair keeps its order.  So the change is ``+(1 + 2c + e)`` when
     ``x < y`` and ``-(1 + 2c + e)`` when ``x > y``, where c counts the
     in-between cells strictly inside and e those equal to x or y.  Only
-    ``<`` is used, as in :func:`count_inversions`.
+    ``<`` is used, as in :func:`count_inversions`.  Raises ``ValueError``
+    unless both ``p`` and ``q`` lie in ``0 .. len(a) - 1``.
     """
+    n = len(a)
+    if not 0 <= p < n or not 0 <= q < n:
+        raise ValueError(f"positions must index a length-{n} sequence, got p={p}, q={q}")
     if p > q:
         p, q = q, p
     elif p == q:

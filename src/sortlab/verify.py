@@ -67,46 +67,42 @@ def _check_replay(values: Sequence[int], claims: tuple[str, ...]) -> dict[str, d
     One observer replays each swap as it arrives.  Before applying a
     swap it checks Lemma 1 on it; whenever the outer position ``i`` of
     the events changes, and once after the run, it checks the ``pi``
-    boundary.  The run always goes to its end; a claim that fails leaves
-    the open set with its first counterexample and is checked no further.
+    boundary.  The run always goes to its end; a claim that fails is
+    recorded with its first counterexample and is checked no further.
     Returns the counterexample of each claim that failed, by claim id;
     ``sortlab verify`` calls it per permutation with the claims still open.
     """
     _require_distinct(values, " and ".join(claims))
     work = list(values)
     top = max(work) if work else None
-    open_claims = set(claims)
     failures: dict[str, dict] = {}
     current = None
 
     def check_boundary(outer: int) -> None:
         # Prefix work[0 .. outer-1] sorted, and work[outer-1] is the array max.
-        for p in range(outer - 1):
-            if work[p] > work[p + 1]:
-                expected, observed = "non-decreasing prefix", work[:outer]
-                break
+        prefix = work[:outer]
+        if prefix != sorted(prefix):
+            expected, observed = "non-decreasing prefix", prefix
+        elif prefix[-1] != top:
+            expected, observed = top, prefix[-1]
         else:
-            if work[outer - 1] == top:
-                return
-            expected, observed = top, work[outer - 1]
-        open_claims.discard("pi")
+            return
         failures["pi"] = {"input": list(values), "outer": outer, "expected": expected, "observed": observed}
 
     def observe(event: TraceEvent) -> None:
         nonlocal current
         i = event.i
         if i != current:
-            if "pi" in open_claims and current is not None:
+            if "pi" in claims and "pi" not in failures and current is not None:
                 check_boundary(current)
             current = i
         if event.kind == KIND_SWAP:
             i -= 1
             j = event.j - 1
-            if "lemma1" in open_claims:
+            if "lemma1" in claims and "lemma1" not in failures:
                 observed = inversion_delta(work, i, j)
                 expected = 1 if event.phase == PHASE_SELECTION else -1
                 if observed != expected:
-                    open_claims.discard("lemma1")
                     failures["lemma1"] = {
                         "input": list(values),
                         "seq": event.seq,
@@ -117,7 +113,7 @@ def _check_replay(values: Sequence[int], claims: tuple[str, ...]) -> dict[str, d
             work[i], work[j] = work[j], work[i]
 
     icbics_sort(values, observe)
-    if "pi" in open_claims and current is not None:
+    if "pi" in claims and "pi" not in failures and current is not None:
         check_boundary(current)
     return failures
 
@@ -126,7 +122,7 @@ def check_pi_invariant(values: Sequence[int]) -> VerificationVerdict:
     """After each outer pass i, the prefix A[1..i] must be sorted and
     A[i] must be the maximum of the whole array.
 
-    Runs ``icbics_sort`` with the replay observer, ``pi`` its one open
+    Runs ``icbics_sort`` with the replay observer, ``pi`` its only
     claim: the observer replays each swap as it arrives and asserts both
     facts whenever the outer position ``i`` of the events changes and
     once after the run (n assertions for length n).  The run goes to its
@@ -141,8 +137,8 @@ def check_lemma1(values: Sequence[int]) -> VerificationVerdict:
     exactly one and every insertion-phase swap must lower it by exactly
     one.
 
-    Runs ``icbics_sort`` with the replay observer, ``lemma1`` its one
-    open claim: at each swap as it arrives, the observer measures the
+    Runs ``icbics_sort`` with the replay observer, ``lemma1`` its only
+    claim: at each swap as it arrives, the observer measures the
     swap's exact inversion change with ``inversion_delta`` (O(q - p), no
     full recount) on the replayed array, then applies the swap.  The run
     goes to its end; only the first violation is reported.
@@ -228,7 +224,10 @@ def _tag_inversion(pairs: list[tuple[int, str]]) -> Optional[tuple[int, int]]:
 def sort_tagged(keys: Sequence[int]) -> tuple[list[tuple[int, str]], list[tuple[int, str]]]:
     """Run ``icbics_sort`` on ``keys`` tagged a, b, c, ... in input
     order, comparing keys only.  Returns (tagged input, tagged output).
+    Raises ``ValueError`` on more than 26 keys, one per tag letter.
     """
+    if len(keys) > len(string.ascii_lowercase):
+        raise ValueError(f"sort_tagged supports at most 26 keys, got {len(keys)}")
     tagged = [Tagged(key, string.ascii_lowercase[pos]) for pos, key in enumerate(keys)]
     report = icbics_sort(tagged)
     as_pairs = [(t.key, t.tag) for t in tagged]

@@ -211,6 +211,16 @@ def test_load_trace_shares_one_int_per_position(tmp_path, capsys):
     assert sorted(shared) == list(range(1, 301))
 
 
+def test_load_trace_reads_crlf_line_ends(tmp_path, capsys):
+    trace_path = tmp_path / "trace.jsonl"
+    assert run(capsys, "sort", "--input", "4,1,3,2", "--trace", str(trace_path))[0] == 0
+    events = load_trace(str(trace_path))
+    crlf_path = tmp_path / "crlf.jsonl"
+    crlf_path.write_bytes(trace_path.read_bytes().replace(b"\n", b"\r\n"))
+    assert crlf_path.read_bytes().count(b"\r\n") == len(events) > 0
+    assert load_trace(str(crlf_path)) == events
+
+
 def test_replay_trace_takes_a_generator_over_the_loaded_events(tmp_path, capsys):
     trace_path = tmp_path / "trace.jsonl"
     values = [4, 7, 1, 6, 3, 5, 2, 9, 8]
@@ -290,6 +300,12 @@ def test_load_trace_rejects_unknown_kind_or_phase(tmp_path, line):
         ),
         pytest.param('\x85{"seq": 0, "kind": "swap", "i": 1, "j": 2, "phase": "selection"}\x85', id="wrapped-in-nel"),
         pytest.param('{"seq": 0, "kind": "swap", "i": 1, "j": 2, "phase": "selection"}\n\x1d', id="gs-only-line"),
+        # A lone "\r" ends no line.
+        pytest.param(
+            '{"seq": 0, "kind": "swap", "i": 1, "j": 2, "phase": "selection"}\r'
+            '{"seq": 1, "kind": "swap", "i": 1, "j": 2, "phase": "selection"}',
+            id="events-joined-by-cr",
+        ),
     ],
 )
 def test_load_trace_rejects_malformed_events(tmp_path, text):

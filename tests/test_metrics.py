@@ -71,6 +71,16 @@ def test_inversion_delta_needs_only_less_than():
     assert_delta_is_the_recount_change([Tagged(k, str(t)) for t, k in enumerate([2, 1, 2, 3, 1, 2])])
 
 
+@pytest.mark.parametrize(
+    "values, p, q",
+    [([1, 2, 3], -1, 0), ([1, 2, 3], 0, -3), ([1, 2, 3], 3, 0), ([1, 2, 3], 1, 3), ([1, 2, 3], -1, -1), ([], 0, 0)],
+)
+def test_inversion_delta_refuses_a_position_outside_the_sequence(values, p, q):
+    # Indexing would wrap -1 to cell 2, and exchanging cells 2 and 0 of [1, 2, 3] adds 3 inversions, not -1.
+    with pytest.raises(ValueError, match=f"positions must index a length-{len(values)} sequence"):
+        inversion_delta(values, p, q)
+
+
 def test_max_inversions_values():
     assert [max_inversions(n) for n in range(6)] == [0, 0, 1, 3, 6, 10]
     with pytest.raises(ValueError):

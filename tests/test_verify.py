@@ -236,6 +236,12 @@ def test_sort_tagged_on_the_classic_input():
     assert tagged_out.index((2, "b")) < tagged_out.index((2, "a"))
 
 
+def test_sort_tagged_refuses_more_keys_than_tag_letters():
+    assert [tag for _, tag in sort_tagged([1] * 26)[0]] == list("abcdefghijklmnopqrstuvwxyz")
+    with pytest.raises(ValueError, match="at most 26 keys, got 27"):
+        sort_tagged([1] * 27)
+
+
 def test_no_witness_exists_at_n2():
     assert find_instability_witness(2) is None
 
