@@ -28,7 +28,7 @@ from pathlib import Path
 from statistics import fmean
 from typing import Callable, Iterable, Optional, Sequence
 
-from .metrics import max_inversions
+from .metrics import swap_bounds
 from .oracle import (
     EXHAUSTIVE_CAP,
     OracleSummary,
@@ -66,11 +66,16 @@ RANDOM_SUITE_N = 64
 # ---------------------------------------------------------------- sort
 
 
+def _shown(text: str) -> str:
+    # At most 200 characters of text that an error message echoes.
+    return text if len(text) <= 200 else f"{text[:200]}... ({len(text)} characters)"
+
+
 def _read_int(text: str) -> int:
     # The one integer reader for input and arguments: ASCII digits, an optional sign, no "_".
     # Here and in every reader, only ASCII whitespace pads a value.
     if re.fullmatch(r"[+-]?[0-9]+", text.strip(string.whitespace)) is None:
-        raise ValueError(f"not a decimal integer: {text!r}")
+        raise ValueError(f"not a decimal integer: {_shown(repr(text))}")
     return int(text)
 
 
@@ -92,7 +97,11 @@ def _read_input_values(source: str) -> list[int]:
     # A file name is read, anything else parsed inline; an argument that is both is refused.
     # os.path.isfile, unlike Path.is_file, is False for a list too long to be a file name.
     if not os.path.isfile(source):
-        return parse_int_values(source)
+        try:
+            return parse_int_values(source)
+        except ValueError as err:
+            shown = _shown(repr(source))
+            raise ValueError(f"{shown} names no file, and is not a list of integers: {err}") from None
     try:
         parse_int_values(source)
     except ValueError:
@@ -127,9 +136,8 @@ def _read_trace_line(number: int, line: str, last_seq: int, position: Callable[[
         seq, i, j = int(seq), position(i), position(j)  # int refuses an integer past Python's limit on digits
         if seq <= last_seq:
             raise ValueError(f"seq does not rise above {last_seq}")
-    except ValueError as err:  # echoes at most 200 characters of a refused line
-        shown = line if len(line) <= 200 else f"{line[:200]}... ({len(line)} characters)"
-        raise ValueError(f"trace line {number}: {err}: {shown}") from None
+    except ValueError as err:
+        raise ValueError(f"trace line {number}: {err}: {_shown(line)}") from None
     return tuple.__new__(TraceEvent, (seq, _TRACE_WORDS[kind], i, j, _TRACE_WORDS[phase]))
 
 
@@ -211,6 +219,13 @@ def cmd_sort(args: argparse.Namespace) -> int:
 Survey = Callable[[int], OracleSummary]
 # A per-input check of the open claims: the counterexample of each that fails, by claim id.
 Check = Callable[[Sequence[int], tuple[str, ...]], dict[str, dict]]
+# Each survey claim's counterexample remade on an input that failed it, or None; names resolve when called.
+_REBUILD = {
+    "correctness": lambda values: _check_sorted(values, ("correctness",)).get("correctness"),
+    "theorem2": lambda values: check_theorem_bounds(values).counterexample,
+    "theorem3": lambda values: check_theorem_bounds(values).counterexample,
+    "theorem4": lambda values: check_theorem_bounds(values).counterexample,
+}
 
 
 def _check_sorted(values: Sequence[int], claims: tuple[str, ...]) -> dict[str, dict]:
@@ -242,41 +257,33 @@ def _sweep(
     return verdicts
 
 
-def _survey_failure(
-    check_id: str, summary: OracleSummary, examined: int, rebuild: Callable[[Sequence[int]], VerificationVerdict]
-) -> Optional[VerificationVerdict]:
-    # The failing verdict for the survey's first input that failed this
-    # check, with the counterexample ``rebuild`` makes on that input, or
-    # None; ``examined`` counts the inputs of the shorter lengths already surveyed.
-    first = summary.first_violations.get(check_id)
-    if first is None:
+def _survey_failure(check_id: str, summary: OracleSummary, examined: int) -> Optional[VerificationVerdict]:
+    # The failing verdict for the survey's first input that failed this check, with its
+    # counterexample made again, or None; ``examined`` counts the inputs surveyed before.
+    if check_id not in summary.first_violations:
         return None
-    ordinal, values = first
-    counterexample = rebuild(values).counterexample
-    return VerificationVerdict(False, counterexample, {"inputs_examined": examined + ordinal})
+    ordinal, values = summary.first_violations[check_id]
+    return VerificationVerdict(False, _REBUILD[check_id](values), {"inputs_examined": examined + ordinal})
 
 
 def _verify_correctness(n_max: int, survey: Survey) -> VerificationVerdict:
     # The survey's permutations of lengths 0..n_max, then small inputs over a 3-value
     # alphabet, which exercise duplicate handling as permutations cannot.
-    claims = ("correctness",)
-    # _survey_failure rebuilds from a verdict, the shape check_theorem_bounds returns.
-    rebuild = lambda values: VerificationVerdict(False, _check_sorted(values, claims).get("correctness"))
     examined = 0
     for n in range(n_max + 1):
         summary = survey(n)
-        if unsorted := _survey_failure("correctness", summary, examined, rebuild):
+        if unsorted := _survey_failure("correctness", summary, examined):
             return unsorted
         examined += summary.inputs_examined
     duplicates = (product((1, 2, 3), repeat=n) for n in range(1, min(n_max, 4) + 1))
-    return _sweep(_check_sorted, claims, chain.from_iterable(duplicates), examined)["correctness"]
+    return _sweep(_check_sorted, ("correctness",), chain.from_iterable(duplicates), examined)["correctness"]
 
 
 def _verify_theorem2(n_max: int, survey: Survey) -> VerificationVerdict:
     per_n = {}
     for n in range(2, n_max + 1):
         summary = survey(n)
-        expected = max_inversions(n) + 1
+        expected = swap_bounds(n, 0)[0]
         if summary.max_swaps != expected:
             counterexample = {"n": n, "max_swaps": summary.max_swaps, "expected": expected}
             return VerificationVerdict(False, counterexample, {"per_n": per_n})
@@ -293,13 +300,14 @@ def _verify_theorem3(n_max: int, survey: Survey) -> VerificationVerdict:
     examined = 0
     for n in range(2, n_max + 1):
         summary = survey(n)
-        if escaped := _survey_failure("theorem3", summary, examined, check_theorem_bounds):
+        if escaped := _survey_failure("theorem3", summary, examined):
             return escaped
         examined += summary.inputs_examined
-        # The bound is tight exactly at the already-sorted input.
+        # The bound is tight exactly at the already-sorted input, which has no inversions.
         sorted_cost = icbics_sort(range(1, n + 1)).swaps
-        if sorted_cost != 2 * (n - 1):
-            counterexample = {"n": n, "sorted_input_swaps": sorted_cost, "expected": 2 * (n - 1)}
+        expected = swap_bounds(n, 0)[1]
+        if sorted_cost != expected:
+            counterexample = {"n": n, "sorted_input_swaps": sorted_cost, "expected": expected}
             return VerificationVerdict(False, counterexample, {"inputs_examined": examined})
     details = {"inputs_examined": examined, "edge_case": "sorted input costs exactly 2(n-1) swaps at every n checked"}
     return VerificationVerdict(True, details=details)
@@ -310,16 +318,17 @@ def _verify_theorem4(n_max: int, survey: Survey) -> VerificationVerdict:
     examined = 0
     for n in range(2, n_max + 1):
         summary = survey(n)
-        if escaped := _survey_failure("theorem4", summary, examined, check_theorem_bounds):
+        if escaped := _survey_failure("theorem4", summary, examined):
             return escaped
         examined += summary.inputs_examined
+        expected = swap_bounds(n, 0)[2]
         wanted = [theorem4_extremal_input(n)]
-        if summary.min_swaps != n - 1 or summary.argmin_inputs != wanted:
+        if summary.min_swaps != expected or summary.argmin_inputs != wanted:
             counterexample = {
                 "n": n,
                 "min_swaps": summary.min_swaps,
                 "argmin_inputs": summary.argmin_inputs,
-                "expected_min": n - 1,
+                "expected_min": expected,
                 "expected_argmin": wanted,
             }
             return VerificationVerdict(False, counterexample, {"per_n": per_n})
@@ -374,6 +383,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
             "min_swaps": suite.min_swaps,
             "passed": suite_ok,
         }
+        if not suite_ok:
+            payload["random_suite"]["failures"] = {
+                claim: asdict(_survey_failure(claim, suite, 0)) for claim in suite.first_violations
+            }
         all_passed = all_passed and suite_ok
     payload["all_passed"] = all_passed
     print(json.dumps(payload, indent=2))

@@ -88,8 +88,6 @@ def swap_bounds(n: int, inversions: int) -> tuple[int, int, int]:
     bound is 0 (there is no maximum element to relocate), and at n = 0
     the inversion-based upper bound is clamped to 0.
     """
-    if n < 0:
-        raise ValueError(f"length must be non-negative, got {n}")
     upper_total = max_inversions(n) + 1
     upper_adaptive = max(0, inversions + 2 * (n - 1))
     lower = max(0, n - 1)

@@ -95,7 +95,7 @@ def _swap_when_less(values: Sequence[Key], obs: Observer | None, algorithm: str,
 
     Each pass adds ``len(inner)`` comparisons once.  The compare at ``j``
     has seq ``offset + j``, with ``offset`` the pass's starting
-    ``comparisons + swaps - inner.start``, raised by one per swap.
+    ``comparisons + swaps`` (both inner ranges start at 0), raised by one per swap.
     """
     a = list(values)
     n = len(a)
@@ -106,7 +106,7 @@ def _swap_when_less(values: Sequence[Key], obs: Observer | None, algorithm: str,
         phase = (PHASE_SELECTION if i == 0 else PHASE_INSERTION) if square else PHASE_NA
         ip = i + 1
         ai = a[i]
-        offset = comparisons + swaps - inner.start
+        offset = comparisons + swaps
         for j in inner:
             aj = a[j]
             if obs is not None:

@@ -27,7 +27,7 @@ import sortlab.cli as cli
 import sortlab.oracle
 import sortlab.sortcore
 import sortlab.verify
-from sortlab import replay_trace
+from sortlab import check_theorem_bounds, replay_trace
 from sortlab.cli import (
     BENCH_COLUMNS,
     collect_bench_records,
@@ -385,7 +385,16 @@ def test_sort_takes_inline_values_too_long_for_a_file_name(capsys):
 def test_sort_missing_file_is_input_error(capsys):
     rc, _, err = run(capsys, "sort", "--input", "no/such/file.txt")
     assert rc == 2
-    assert "cannot read input" in err
+    assert "cannot read input: 'no/such/file.txt' names no file" in err
+    assert "not a decimal integer: 'no/such/file.txt'" in err
+
+
+def test_sort_input_error_echoes_at_most_200_characters_of_the_argument(capsys):
+    argument = "x" * 300
+    rc, _, err = run(capsys, "sort", "--input", argument)
+    assert rc == 2
+    shown = f"{repr(argument)[:200]}... (302 characters)"
+    assert f"input: {shown} names no file, and is not a list of integers: not a decimal integer: {shown}\n" in err
 
 
 def test_sort_unwritable_trace_is_usage_error(capsys, tmp_path):
@@ -730,8 +739,9 @@ def test_verify_failing_check_exits_one(capsys, monkeypatch):
 
 
 def test_verify_output_matches_golden_file(capsys):
-    # Generated with the per-check runners that the check registry
-    # replaced; the printed JSON must not change by a byte.
+    # Written, from the repository root, by
+    #   PYTHONPATH=src python -m sortlab verify --n-max 6 --samples 20 --seed 1 > tests/golden/verify_n6_samples20_seed1.json
+    # A change that writes it again says why in CHANGES.md.
     golden = Path(__file__).parent / "golden" / "verify_n6_samples20_seed1.json"
     rc, out, _ = run(capsys, "verify", "--n-max", "6", "--samples", "20", "--seed", "1")
     assert rc == 0
@@ -792,20 +802,24 @@ def test_verify_lost_swap_breaks_theorem4(capsys, monkeypatch):
     assert checks["theorem4"]["details"] == {"inputs_examined": 27}
 
 
-def reverse_output(monkeypatch, wanted):
-    """Make icbics_sort return the output reversed on every input for
-    which ``wanted(tuple(values))`` holds, wherever the checks and the
-    survey call it."""
+def fake_reports(monkeypatch, wanted, edit):
+    """Make icbics_sort return ``edit(report)`` of its report on every
+    input for which ``wanted(tuple(values))`` holds, wherever the checks
+    and the survey call it."""
     real = sortlab.sortcore.icbics_sort
 
-    def reversing(values, observer=None):
+    def faked(values, observer=None):
         report = real(values, observer)
-        if wanted(tuple(values)):
-            return dataclasses.replace(report, output=report.output[::-1])
-        return report
+        return edit(report) if wanted(tuple(values)) else report
 
     for module in (sortlab.oracle, sortlab.verify, cli):
-        monkeypatch.setattr(module, "icbics_sort", reversing)
+        monkeypatch.setattr(module, "icbics_sort", faked)
+
+
+def reverse_output(monkeypatch, wanted):
+    """Make icbics_sort return the output reversed on every input for
+    which ``wanted(tuple(values))`` holds."""
+    fake_reports(monkeypatch, wanted, lambda report: dataclasses.replace(report, output=report.output[::-1]))
 
 
 @pytest.mark.parametrize(
@@ -837,6 +851,36 @@ def test_verify_samples_fail_on_an_unsorted_output(capsys, monkeypatch):
     assert payload["random_suite"]["passed"] is False
     assert payload["random_suite"]["bound_violations"] == 0
     assert payload["all_passed"] is False
+
+
+@pytest.mark.parametrize(
+    "edit, failed",
+    [
+        pytest.param(lambda r: dataclasses.replace(r, output=r.output[::-1]), ["correctness"], id="output-reversed"),
+        pytest.param(lambda r: dataclasses.replace(r, swaps=r.swaps + 2000), ["theorem2", "theorem3"], id="swaps+2000"),
+        pytest.param(lambda r: dataclasses.replace(r, swaps=r.swaps + 200), ["theorem3"], id="swaps+200"),
+        pytest.param(lambda r: dataclasses.replace(r, swaps=0), ["theorem4"], id="swaps-0"),
+    ],
+)
+def test_verify_samples_name_each_failed_claim_and_its_input(capsys, monkeypatch, edit, failed):
+    fake_reports(monkeypatch, lambda values: len(values) == cli.RANDOM_SUITE_N, edit)
+    rc, out, _ = run(capsys, "verify", "--checks", "instability", "--samples", "3", "--seed", "1")
+    assert rc == 1
+    suite = json.loads(out)["random_suite"]
+    assert suite["passed"] is False
+    assert list(suite["failures"]) == failed
+    # Every faked sample fails, so each claim fails first at the first sample.
+    recheck = {
+        "correctness": lambda values: {"input": values, "output": sortlab.verify.icbics_sort(values).output},
+        "theorem2": lambda values: check_theorem_bounds(values).counterexample,
+        "theorem3": lambda values: check_theorem_bounds(values).counterexample,
+        "theorem4": lambda values: check_theorem_bounds(values).counterexample,
+    }
+    for claim, verdict in suite["failures"].items():
+        assert verdict["passed"] is False
+        assert verdict["details"] == {"inputs_examined": 1}
+        assert len(verdict["counterexample"]["input"]) == cli.RANDOM_SUITE_N
+        assert recheck[claim](verdict["counterexample"]["input"]) == verdict["counterexample"]
 
 
 def test_verify_sorts_each_permutation_once(capsys, monkeypatch):

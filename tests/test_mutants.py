@@ -98,15 +98,19 @@ def test_verify_fails_exactly_the_checks_a_mutant_breaks(monkeypatch, capsys, so
     rc, payload = verify_under(monkeypatch, capsys, sort)
     assert failing(payload) == caught
     assert rc == (1 if caught else 0)
-    # Every per-input counterexample comes back the same from its check run again on its input.
+    # Every per-input counterexample, the random suite's too, comes back the same from its
+    # check run again on its input.
     recheck = {
         "correctness": lambda values: {"input": values, "output": sort(values).output},
         "pi": lambda values: check_pi_invariant(values).counterexample,
         "lemma1": lambda values: check_lemma1(values).counterexample,
+        "theorem2": lambda values: check_theorem_bounds(values).counterexample,
         "theorem3": lambda values: check_theorem_bounds(values).counterexample,
         "theorem4": lambda values: check_theorem_bounds(values).counterexample,
     }
-    for check, entry in payload["checks"].items():
+    suite_failures = payload["random_suite"].get("failures", {})
+    assert ("random_suite" in caught) == bool(suite_failures)
+    for check, entry in chain(payload["checks"].items(), suite_failures.items()):
         counterexample = entry["counterexample"]
         if counterexample is not None and "input" in counterexample:
             assert recheck[check](counterexample["input"]) == counterexample
