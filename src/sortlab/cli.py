@@ -105,7 +105,10 @@ def _read_input_values(source: str) -> list[int]:
     try:
         parse_int_values(source)
     except ValueError:
-        return parse_int_values(Path(source).read_text(encoding="utf-8"))
+        try:
+            return parse_int_values(Path(source).read_text(encoding="utf-8"))
+        except ValueError as err:  # a decoding error is a ValueError too
+            raise ValueError(f"file {_shown(repr(source))}: {err}") from None
     raise ValueError(f"{source!r} is both inline values and a file name; write ./{source} to read the file")
 
 
@@ -222,9 +225,7 @@ Check = Callable[[Sequence[int], tuple[str, ...]], dict[str, dict]]
 # Each survey claim's counterexample remade on an input that failed it, or None; names resolve when called.
 _REBUILD = {
     "correctness": lambda values: _check_sorted(values, ("correctness",)).get("correctness"),
-    "theorem2": lambda values: check_theorem_bounds(values).counterexample,
-    "theorem3": lambda values: check_theorem_bounds(values).counterexample,
-    "theorem4": lambda values: check_theorem_bounds(values).counterexample,
+    **dict.fromkeys(("theorem2", "theorem3", "theorem4"), lambda values: check_theorem_bounds(values).counterexample),
 }
 
 

@@ -78,8 +78,10 @@ def _check_replay(values: Sequence[int], claims: tuple[str, ...]) -> dict[str, d
     failures: dict[str, dict] = {}
     current = None
 
-    def check_boundary(outer: int) -> None:
+    def check_boundary(outer: Optional[int]) -> None:
         # Prefix work[0 .. outer-1] sorted, and work[outer-1] is the array max.
+        if "pi" not in claims or "pi" in failures or outer is None:
+            return
         prefix = work[:outer]
         if prefix != sorted(prefix):
             expected, observed = "non-decreasing prefix", prefix
@@ -93,8 +95,7 @@ def _check_replay(values: Sequence[int], claims: tuple[str, ...]) -> dict[str, d
         nonlocal current
         i = event.i
         if i != current:
-            if "pi" in claims and "pi" not in failures and current is not None:
-                check_boundary(current)
+            check_boundary(current)
             current = i
         if event.kind == KIND_SWAP:
             i -= 1
@@ -113,8 +114,7 @@ def _check_replay(values: Sequence[int], claims: tuple[str, ...]) -> dict[str, d
             work[i], work[j] = work[j], work[i]
 
     icbics_sort(values, observe)
-    if "pi" in claims and "pi" not in failures and current is not None:
-        check_boundary(current)
+    check_boundary(current)
     return failures
 
 

@@ -23,11 +23,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import faults
 import sortlab.cli as cli
-import sortlab.oracle
-import sortlab.sortcore
-import sortlab.verify
-from sortlab import check_theorem_bounds, replay_trace
+from sortlab import replay_trace
 from sortlab.cli import (
     BENCH_COLUMNS,
     collect_bench_records,
@@ -171,6 +169,19 @@ def test_sort_file_input_comma_format(tmp_path, capsys):
     rc, out, _ = run(capsys, "sort", "--input", str(source))
     assert rc == 0
     assert json.loads(out)["output"] == [1, 2, 3, 4, 5]
+
+
+def test_sort_names_an_input_file_that_does_not_parse(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    for contents, error in [
+        (b"3\n1\nx", "not a decimal integer: 'x'"),
+        (b"3,1,,2", "not a decimal integer: ''"),
+        (b"3\n\xff\n", "'utf-8' codec can't decode byte 0xff in position 2: invalid start byte"),
+    ]:
+        (tmp_path / "bad.txt").write_bytes(contents)
+        rc, out, err = run(capsys, "sort", "--input", "bad.txt")
+        assert (rc, out) == (2, "")
+        assert err == f"sortlab sort: cannot read input: file 'bad.txt': {error}\n"
 
 
 def test_sort_trace_round_trip(tmp_path, capsys):
@@ -405,14 +416,7 @@ def test_sort_unwritable_trace_is_usage_error(capsys, tmp_path):
 
 
 def test_sort_unwritable_trace_never_runs_the_sorter(capsys, monkeypatch, tmp_path):
-    info = cli.ALGORITHMS["icbics"]
-    calls = []
-
-    def counting(values, observer=None):
-        calls.append(values)
-        return info.func(values, observer)
-
-    monkeypatch.setitem(cli.ALGORITHMS, "icbics", dataclasses.replace(info, func=counting))
+    calls = faults.count_runs(monkeypatch)
     for target in (str(tmp_path / "absent" / "trace.jsonl"), ""):
         rc, out, err = run(capsys, "sort", "--input", "2,1", "--trace", target)
         assert (rc, out, calls) == (2, "", [])
@@ -420,14 +424,7 @@ def test_sort_unwritable_trace_never_runs_the_sorter(capsys, monkeypatch, tmp_pa
 
 
 def test_sort_refuses_a_trace_path_naming_the_input_file(capsys, monkeypatch, tmp_path):
-    info = cli.ALGORITHMS["icbics"]
-    calls = []
-
-    def counting(values, observer=None):
-        calls.append(values)
-        return info.func(values, observer)
-
-    monkeypatch.setitem(cli.ALGORITHMS, "icbics", dataclasses.replace(info, func=counting))
+    calls = faults.count_runs(monkeypatch)
     source = tmp_path / "in.txt"
     source.write_text("3\n1\n2\n")
     (tmp_path / "link.txt").symlink_to(source)
@@ -748,28 +745,13 @@ def test_verify_output_matches_golden_file(capsys):
     assert out == golden.read_text(encoding="utf-8")
 
 
-def skew_swaps(monkeypatch, target, delta):
-    """Make icbics_sort report ``delta`` more swaps on input ``target``,
-    wherever the checks and the survey call it."""
-    real = sortlab.sortcore.icbics_sort
-
-    def skewed(values, observer=None):
-        report = real(values, observer)
-        if tuple(values) == target:
-            return dataclasses.replace(report, swaps=report.swaps + delta)
-        return report
-
-    for module in (sortlab.oracle, sortlab.verify, cli):
-        monkeypatch.setattr(module, "icbics_sort", skewed)
-
-
 def verify_theorems(capsys):
     rc, out, _ = run(capsys, "verify", "--n-max", "5", "--checks", "theorem2,theorem3,theorem4")
     return rc, json.loads(out)["checks"]
 
 
 def test_verify_extra_swap_breaks_theorem2_and_theorem3(capsys, monkeypatch):
-    skew_swaps(monkeypatch, (1, 2, 3, 4), +1)
+    faults.install(monkeypatch, faults.edited(lambda v, r: faults.add_swaps(r, +1) if v == (1, 2, 3, 4) else r))
     rc, checks = verify_theorems(capsys)
     assert rc == 1
     assert checks["theorem2"]["passed"] is False
@@ -787,7 +769,7 @@ def test_verify_extra_swap_breaks_theorem2_and_theorem3(capsys, monkeypatch):
 
 
 def test_verify_lost_swap_breaks_theorem4(capsys, monkeypatch):
-    skew_swaps(monkeypatch, (4, 1, 2, 3), -1)
+    faults.install(monkeypatch, faults.edited(lambda v, r: faults.add_swaps(r, -1) if v == (4, 1, 2, 3) else r))
     rc, checks = verify_theorems(capsys)
     assert rc == 1
     assert checks["theorem2"]["passed"] is True
@@ -802,26 +784,6 @@ def test_verify_lost_swap_breaks_theorem4(capsys, monkeypatch):
     assert checks["theorem4"]["details"] == {"inputs_examined": 27}
 
 
-def fake_reports(monkeypatch, wanted, edit):
-    """Make icbics_sort return ``edit(report)`` of its report on every
-    input for which ``wanted(tuple(values))`` holds, wherever the checks
-    and the survey call it."""
-    real = sortlab.sortcore.icbics_sort
-
-    def faked(values, observer=None):
-        report = real(values, observer)
-        return edit(report) if wanted(tuple(values)) else report
-
-    for module in (sortlab.oracle, sortlab.verify, cli):
-        monkeypatch.setattr(module, "icbics_sort", faked)
-
-
-def reverse_output(monkeypatch, wanted):
-    """Make icbics_sort return the output reversed on every input for
-    which ``wanted(tuple(values))`` holds."""
-    fake_reports(monkeypatch, wanted, lambda report: dataclasses.replace(report, output=report.output[::-1]))
-
-
 @pytest.mark.parametrize(
     "target, examined",
     [
@@ -833,7 +795,7 @@ def reverse_output(monkeypatch, wanted):
     ],
 )
 def test_verify_correctness_reports_the_first_unsorted_output(capsys, monkeypatch, target, examined):
-    reverse_output(monkeypatch, lambda values: values == target)
+    faults.install(monkeypatch, faults.edited(lambda v, r: faults.reverse_output(r) if v == target else r))
     rc, out, _ = run(capsys, "verify", "--checks", "correctness", "--n-max", "4")
     assert rc == 1
     assert json.loads(out)["checks"]["correctness"] == {
@@ -844,7 +806,8 @@ def test_verify_correctness_reports_the_first_unsorted_output(capsys, monkeypatc
 
 
 def test_verify_samples_fail_on_an_unsorted_output(capsys, monkeypatch):
-    reverse_output(monkeypatch, lambda values: len(values) == cli.RANDOM_SUITE_N)
+    sample = cli.RANDOM_SUITE_N
+    faults.install(monkeypatch, faults.edited(lambda v, r: faults.reverse_output(r) if len(v) == sample else r))
     rc, out, _ = run(capsys, "verify", "--checks", "instability", "--samples", "3", "--seed", "1")
     assert rc == 1
     payload = json.loads(out)
@@ -856,44 +819,30 @@ def test_verify_samples_fail_on_an_unsorted_output(capsys, monkeypatch):
 @pytest.mark.parametrize(
     "edit, failed",
     [
-        pytest.param(lambda r: dataclasses.replace(r, output=r.output[::-1]), ["correctness"], id="output-reversed"),
-        pytest.param(lambda r: dataclasses.replace(r, swaps=r.swaps + 2000), ["theorem2", "theorem3"], id="swaps+2000"),
-        pytest.param(lambda r: dataclasses.replace(r, swaps=r.swaps + 200), ["theorem3"], id="swaps+200"),
+        pytest.param(faults.reverse_output, ["correctness"], id="output-reversed"),
+        pytest.param(lambda r: faults.add_swaps(r, 2000), ["theorem2", "theorem3"], id="swaps+2000"),
+        pytest.param(lambda r: faults.add_swaps(r, 200), ["theorem3"], id="swaps+200"),
         pytest.param(lambda r: dataclasses.replace(r, swaps=0), ["theorem4"], id="swaps-0"),
     ],
 )
 def test_verify_samples_name_each_failed_claim_and_its_input(capsys, monkeypatch, edit, failed):
-    fake_reports(monkeypatch, lambda values: len(values) == cli.RANDOM_SUITE_N, edit)
+    faults.install(monkeypatch, faults.edited(lambda v, r: edit(r) if len(v) == cli.RANDOM_SUITE_N else r))
     rc, out, _ = run(capsys, "verify", "--checks", "instability", "--samples", "3", "--seed", "1")
     assert rc == 1
     suite = json.loads(out)["random_suite"]
     assert suite["passed"] is False
     assert list(suite["failures"]) == failed
     # Every faked sample fails, so each claim fails first at the first sample.
-    recheck = {
-        "correctness": lambda values: {"input": values, "output": sortlab.verify.icbics_sort(values).output},
-        "theorem2": lambda values: check_theorem_bounds(values).counterexample,
-        "theorem3": lambda values: check_theorem_bounds(values).counterexample,
-        "theorem4": lambda values: check_theorem_bounds(values).counterexample,
-    }
     for claim, verdict in suite["failures"].items():
         assert verdict["passed"] is False
         assert verdict["details"] == {"inputs_examined": 1}
         assert len(verdict["counterexample"]["input"]) == cli.RANDOM_SUITE_N
-        assert recheck[claim](verdict["counterexample"]["input"]) == verdict["counterexample"]
+        assert faults.recheck(claim, verdict["counterexample"]["input"]) == verdict["counterexample"]
 
 
 def test_verify_sorts_each_permutation_once(capsys, monkeypatch):
     calls = []
-    real = sortlab.sortcore.icbics_sort
-
-    def counting(values, observer=None):
-        if observer is None:
-            calls.append(tuple(values))
-        return real(values, observer)
-
-    for module in (sortlab.oracle, sortlab.verify, cli):
-        monkeypatch.setattr(module, "icbics_sort", counting)
+    faults.install(monkeypatch, faults.counted(calls, []))
     rc, _, _ = run(capsys, "verify", "--n-max", "6")
     assert rc == 0
     # The survey sorts each of the 2! + ... + 6! = 872 permutations once,
@@ -916,35 +865,12 @@ def test_verify_sorts_each_permutation_once(capsys, monkeypatch):
 )
 def test_verify_pi_and_lemma1_share_one_traced_sort_per_permutation(capsys, monkeypatch, checks, expected):
     traced = []
-    real = sortlab.sortcore.icbics_sort
-
-    def counting(values, observer=None):
-        if observer is not None:
-            traced.append(tuple(values))
-        return real(values, observer)
-
-    for module in (sortlab.oracle, sortlab.verify, cli):
-        monkeypatch.setattr(module, "icbics_sort", counting)
+    faults.install(monkeypatch, faults.counted([], traced))
     rc, _, _ = run(capsys, "verify", "--n-max", "6", *checks)
     assert rc == 0
     # 1! + 2! + ... + 6! permutations, each sorted once with an observer;
     # none when neither pi nor lemma1 is selected.
     assert len(traced) == len(set(traced)) == expected
-
-
-def drop_first_swap(events):
-    first = next(k for k, e in enumerate(events) if e.kind == KIND_SWAP)
-    return events[:first] + events[first + 1 :]
-
-
-def drop_last_swap(events):
-    last = max(k for k, e in enumerate(events) if e.kind == KIND_SWAP)
-    return events[:last] + events[last + 1 :]
-
-
-def relabel_first_insertion_swap(events):
-    first = next(k for k, e in enumerate(events) if e.kind == KIND_SWAP and e.phase == PHASE_INSERTION)
-    return events[:first] + [events[first]._replace(phase=PHASE_SELECTION)] + events[first + 1 :]
 
 
 def pi_failure(values, outer, expected, observed):
@@ -966,33 +892,33 @@ PREFIX = "non-decreasing prefix"
     "rewrites, pi, lemma1",
     [
         pytest.param(
-            {(3, 1, 2): drop_last_swap, (2, 4, 1, 5, 3): relabel_first_insertion_swap},
+            {(3, 1, 2): faults.drop_last_swap, (2, 4, 1, 5, 3): faults.relabel_first_insertion_swap},
             failed(pi_failure((3, 1, 2), 3, PREFIX, [1, 3, 2]), 8),
             failed(lemma1_failure((2, 4, 1, 5, 3), 8, PHASE_SELECTION, 1, -1), 71),
             id="pi-fails-first",
         ),
         pytest.param(
-            {(3, 1, 2): relabel_first_insertion_swap, (2, 4, 1, 5, 3): drop_last_swap},
+            {(3, 1, 2): faults.relabel_first_insertion_swap, (2, 4, 1, 5, 3): faults.drop_last_swap},
             failed(pi_failure((2, 4, 1, 5, 3), 5, PREFIX, [1, 2, 3, 5, 4]), 71),
             failed(lemma1_failure((3, 1, 2), 4, PHASE_SELECTION, 1, -1), 8),
             id="lemma1-fails-first",
         ),
         pytest.param(
             # In the run, pi fails at the boundary of pass 1, before the swap at seq 6.
-            {(2, 4, 1, 3): drop_first_swap},
+            {(2, 4, 1, 3): faults.drop_first_swap},
             failed(pi_failure((2, 4, 1, 3), 1, 4, 2), 20),
             failed(lemma1_failure((2, 4, 1, 3), 6, PHASE_INSERTION, -1, 1), 20),
             id="both-fail-on-one-input-pi-first-in-the-run",
         ),
         pytest.param(
             # In the run, lemma1 fails at seq 6, before pi's last boundary.
-            {(2, 4, 1, 3): lambda events: drop_last_swap(relabel_first_insertion_swap(events))},
+            {(2, 4, 1, 3): lambda events: faults.drop_last_swap(faults.relabel_first_insertion_swap(events))},
             failed(pi_failure((2, 4, 1, 3), 4, PREFIX, [1, 2, 4, 3]), 20),
             failed(lemma1_failure((2, 4, 1, 3), 6, PHASE_SELECTION, 1, -1), 20),
             id="both-fail-on-one-input-lemma1-first-in-the-run",
         ),
         pytest.param(
-            {(2, 4, 1, 3): drop_last_swap},
+            {(2, 4, 1, 3): faults.drop_last_swap},
             failed(pi_failure((2, 4, 1, 3), 4, PREFIX, [1, 2, 4, 3]), 20),
             {"passed": True, "counterexample": None, "details": {"inputs_examined": 153}},
             id="pi-alone-fails",
@@ -1000,20 +926,7 @@ PREFIX = "non-decreasing prefix"
     ],
 )
 def test_verify_pi_and_lemma1_report_together_as_alone(capsys, monkeypatch, rewrites, pi, lemma1):
-    real = sortlab.sortcore.icbics_sort
-
-    def rewritten(values, observer=None):
-        # The trace of each input named in ``rewrites`` reaches the observer rewritten.
-        rewrite = rewrites.get(tuple(values))
-        if observer is None or rewrite is None:
-            return real(values, observer)
-        events = []
-        report = real(values, events.append)
-        for event in rewrite(events):
-            observer(event)
-        return report
-
-    monkeypatch.setattr(sortlab.verify, "icbics_sort", rewritten)
+    faults.install(monkeypatch, faults.rewritten(rewrites))
 
     def reported(checks):
         rc, out, _ = run(capsys, "verify", "--checks", checks, "--n-max", "5")
@@ -1127,13 +1040,7 @@ def test_collect_bench_records_guards():
 
 def test_collect_bench_records_checks_every_size_before_sorting(monkeypatch):
     # A bad size late in the list is refused before any sorter runs.
-    calls = []
-    for name, info in list(cli.ALGORITHMS.items()):
-        def counting(values, observer=None, _func=info.func):
-            calls.append(len(values))
-            return _func(values, observer)
-
-        monkeypatch.setitem(cli.ALGORITHMS, name, dataclasses.replace(info, func=counting))
+    calls = faults.count_runs(monkeypatch)
     with pytest.raises(ValueError, match="sizes must be >= 0, got -1"):
         collect_bench_records([512, -1], reps=1, seed=0)
     assert calls == []

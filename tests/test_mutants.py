@@ -1,11 +1,9 @@
 """Faulty copies of ``icbics_sort`` that ``sortlab verify`` must catch.
 
 A check that cannot fail is not evidence.  Each mutant below is the
-double loop written out again with one fault, swapped in for
-``icbics_sort`` wherever the checks and the survey call it, and the
-test states which checks catch it.  Mutants compare with ``<`` only,
-since the instability search sorts keys that define nothing else, and
-a traced mutant feeds its observer the events of its own run.
+double loop written out again with one fault (``faults.mutant``),
+installed in place of ``icbics_sort`` wherever the survey, the checks
+and the CLI call it, and the test states which checks catch it.
 """
 
 from __future__ import annotations
@@ -15,41 +13,14 @@ from itertools import chain, product
 
 import pytest
 
+import faults
 import sortlab.cli as cli
-import sortlab.oracle
-import sortlab.verify
-from sortlab import SortReport, TraceEvent, check_lemma1, check_pi_invariant, check_theorem_bounds, icbics_sort
-from sortlab.sortcore import KIND_COMPARE, KIND_SWAP, PHASE_INSERTION, PHASE_SELECTION, std_insertion_sort
+import sortlab.sortcore
+from faults import mutant
+from sortlab import icbics_sort
+from sortlab.sortcore import PHASE_INSERTION, std_insertion_sort
 
 THEOREMS = {"theorem2", "theorem3", "theorem4"}
-
-
-def mutant(compares=lambda n, i, j: True, swaps_when=lambda x, y: x < y, label=lambda phase: phase, extra_swaps=0):
-    """``icbics_sort`` with 1-based comparator (i, j) made only where
-    ``compares(n, i, j)``, swapping where ``swaps_when(A[i], A[j])``,
-    each swap event's phase passed through ``label``, and ``extra_swaps``
-    added to the reported count.  The defaults are ``icbics_sort``."""
-
-    def sort(values, observer=None):
-        a = list(values)
-        n = len(a)
-        comparisons = swaps = 0
-        for i in range(1, n + 1):
-            phase = PHASE_SELECTION if i == 1 else PHASE_INSERTION
-            for j in range(1, n + 1):
-                if not compares(n, i, j):
-                    continue
-                if observer is not None:
-                    observer(TraceEvent(comparisons + swaps, KIND_COMPARE, i, j, phase))
-                comparisons += 1
-                if swaps_when(a[i - 1], a[j - 1]):
-                    a[i - 1], a[j - 1] = a[j - 1], a[i - 1]
-                    if observer is not None:
-                        observer(TraceEvent(comparisons + swaps, KIND_SWAP, i, j, label(phase)))
-                    swaps += 1
-        return SortReport("icbics", n, comparisons, swaps + extra_swaps, a)
-
-    return sort
 
 
 def test_the_identity_mutant_is_icbics_sort():
@@ -60,12 +31,23 @@ def test_the_identity_mutant_is_icbics_sort():
         assert ours == theirs
 
 
+def test_install_reaches_every_caller_of_icbics_sort(monkeypatch, capsys):
+    # The identity mutant makes icbics_sort's reports and events, so verify prints the same;
+    # with the real kernel gone, a caller that install missed raises NameError instead.
+    argv = ["verify", "--n-max", "5", "--samples", "50", "--seed", "1"]
+    assert cli.main(argv) == 0
+    expected = capsys.readouterr().out
+    faults.install(monkeypatch, mutant())
+    monkeypatch.delattr(sortlab.sortcore, "_swap_when_less")
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == expected
+
+
 def verify_under(monkeypatch, capsys, sort, argv=("--n-max", "5", "--samples", "50", "--seed", "1")):
     """Run ``verify`` with ``argv``, by default ``--n-max 5 --samples 50
     --seed 1``, and ``sort`` in place of ``icbics_sort``; return the exit
     code and the printed JSON."""
-    for module in (sortlab.oracle, sortlab.verify, cli):
-        monkeypatch.setattr(module, "icbics_sort", sort)
+    faults.install(monkeypatch, sort)
     rc = cli.main(["verify", *argv])
     return rc, json.loads(capsys.readouterr().out)
 
@@ -100,20 +82,12 @@ def test_verify_fails_exactly_the_checks_a_mutant_breaks(monkeypatch, capsys, so
     assert rc == (1 if caught else 0)
     # Every per-input counterexample, the random suite's too, comes back the same from its
     # check run again on its input.
-    recheck = {
-        "correctness": lambda values: {"input": values, "output": sort(values).output},
-        "pi": lambda values: check_pi_invariant(values).counterexample,
-        "lemma1": lambda values: check_lemma1(values).counterexample,
-        "theorem2": lambda values: check_theorem_bounds(values).counterexample,
-        "theorem3": lambda values: check_theorem_bounds(values).counterexample,
-        "theorem4": lambda values: check_theorem_bounds(values).counterexample,
-    }
     suite_failures = payload["random_suite"].get("failures", {})
     assert ("random_suite" in caught) == bool(suite_failures)
     for check, entry in chain(payload["checks"].items(), suite_failures.items()):
         counterexample = entry["counterexample"]
         if counterexample is not None and "input" in counterexample:
-            assert recheck[check](counterexample["input"]) == counterexample
+            assert faults.recheck(check, counterexample["input"]) == counterexample
 
 
 def test_theorem3_reports_an_untight_sorted_input_per_n(monkeypatch, capsys):
@@ -130,7 +104,7 @@ def test_theorem3_reports_an_untight_sorted_input_per_n(monkeypatch, capsys):
 
 
 def test_instability_fails_when_the_witness_search_sorts_stably(monkeypatch, capsys):
-    monkeypatch.setattr(sortlab.verify, "icbics_sort", std_insertion_sort)
+    faults.install(monkeypatch, std_insertion_sort)
     rc = cli.main(["verify", "--checks", "instability"])
     assert rc == 1
     assert json.loads(capsys.readouterr().out)["checks"]["instability"] == {

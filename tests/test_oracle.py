@@ -7,7 +7,7 @@ from math import factorial
 
 import pytest
 
-import sortlab.oracle
+import faults
 from sortlab import (
     enumerate_permutations,
     exhaustive_summary,
@@ -91,14 +91,8 @@ def test_exhaustive_summary_records_first_violation_per_bound(monkeypatch):
     # Reported swap counts by input: one above the sorted input's
     # 2(n-1), and two below n - 1.  Only the first escape of each bound
     # is recorded.
-    real = sortlab.oracle.icbics_sort
     forged = {(1, 2, 3, 4): 7, (4, 1, 2, 3): 2, (4, 3, 1, 2): 0}
-
-    def skewed(values, observer=None):
-        report = real(values, observer)
-        return dataclasses.replace(report, swaps=forged.get(tuple(values), report.swaps))
-
-    monkeypatch.setattr(sortlab.oracle, "icbics_sort", skewed)
+    faults.install(monkeypatch, faults.edited(lambda v, r: dataclasses.replace(r, swaps=forged.get(v, r.swaps))))
     summary = exhaustive_summary(4)
     assert summary.bound_violations == 3
     assert summary.first_violations == {"theorem3": (1, (1, 2, 3, 4)), "theorem4": (19, (4, 1, 2, 3))}
@@ -107,16 +101,8 @@ def test_exhaustive_summary_records_first_violation_per_bound(monkeypatch):
 def test_exhaustive_summary_records_first_unsorted_output(monkeypatch):
     # Outputs reversed on two inputs: only the first, the 4th of the 24
     # permutations of length 4, is recorded, and no bound counts it.
-    real = sortlab.oracle.icbics_sort
     reversed_on = {(1, 3, 4, 2), (4, 3, 2, 1)}
-
-    def reversing(values, observer=None):
-        report = real(values, observer)
-        if tuple(values) in reversed_on:
-            return dataclasses.replace(report, output=report.output[::-1])
-        return report
-
-    monkeypatch.setattr(sortlab.oracle, "icbics_sort", reversing)
+    faults.install(monkeypatch, faults.edited(lambda v, r: faults.reverse_output(r) if v in reversed_on else r))
     summary = exhaustive_summary(4)
     assert summary.bound_violations == 0
     assert summary.first_violations == {"correctness": (4, (1, 3, 4, 2))}

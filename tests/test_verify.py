@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-import sortlab.verify as verify
+import faults
 from sortlab import (
     CHECK_IDS,
     InstabilityWitness,
@@ -18,7 +18,6 @@ from sortlab import (
     check_pi_invariant,
     check_theorem_bounds,
     find_instability_witness,
-    icbics_sort,
     sort_tagged,
 )
 
@@ -91,36 +90,10 @@ def test_property_lemma1(values):
 # ------------------------------------------- mutated traces are caught
 
 
-def rewritten_sort(rewrite):
-    """``icbics_sort`` whose trace passes through ``rewrite`` (a function
-    from the full event list to the list to deliver) on its way to the
-    observer."""
-
-    def sort(values, observer=None):
-        events = []
-        report = icbics_sort(values, events.append)
-        if observer is not None:
-            for event in rewrite(events):
-                observer(event)
-        return report
-
-    return sort
-
-
-def relabel_first_insertion_swap(events):
-    first = next(k for k, e in enumerate(events) if e.kind == "swap" and e.phase == "insertion")
-    return events[:first] + [events[first]._replace(phase="selection")] + events[first + 1 :]
-
-
-def drop_last_swap(events):
-    last = max(k for k, e in enumerate(events) if e.kind == "swap")
-    return events[:last] + events[last + 1 :]
-
-
 def test_lemma1_catches_a_mislabelled_swap(monkeypatch):
     # [3, 1, 2]: no selection swaps; the first insertion swap (seq 4)
     # turns [3, 1, 2] into [1, 3, 2] and removes one inversion.
-    monkeypatch.setattr(verify, "icbics_sort", rewritten_sort(relabel_first_insertion_swap))
+    faults.install(monkeypatch, faults.rewritten({(3, 1, 2): faults.relabel_first_insertion_swap}))
     verdict = check_lemma1([3, 1, 2])
     assert not verdict.passed
     assert verdict.counterexample == {
@@ -134,7 +107,7 @@ def test_lemma1_catches_a_mislabelled_swap(monkeypatch):
 
 def test_pi_catches_a_dropped_swap(monkeypatch):
     # Without its last swap the run of [3, 1, 2] ends at [1, 3, 2].
-    monkeypatch.setattr(verify, "icbics_sort", rewritten_sort(drop_last_swap))
+    faults.install(monkeypatch, faults.rewritten({(3, 1, 2): faults.drop_last_swap}))
     verdict = check_pi_invariant([3, 1, 2])
     assert not verdict.passed
     assert verdict.counterexample == {
@@ -145,18 +118,10 @@ def test_pi_catches_a_dropped_swap(monkeypatch):
     }
 
 
-def relabel_every_insertion_swap(events):
-    return [e._replace(phase="selection") if e.kind == "swap" and e.phase == "insertion" else e for e in events]
-
-
-def drop_every_swap(events):
-    return [e for e in events if e.kind != "swap"]
-
-
 def test_lemma1_reports_only_the_first_of_several_breaks(monkeypatch):
     # Every insertion swap of [5, 2, 6, 1, 4, 3] now claims +1 and each
     # removes an inversion; the first of them, at seq 8, is the one reported.
-    monkeypatch.setattr(verify, "icbics_sort", rewritten_sort(relabel_every_insertion_swap))
+    faults.install(monkeypatch, faults.rewritten({(5, 2, 6, 1, 4, 3): faults.relabel_every_insertion_swap}))
     verdict = check_lemma1([5, 2, 6, 1, 4, 3])
     assert not verdict.passed
     assert verdict.counterexample == {
@@ -171,7 +136,7 @@ def test_lemma1_reports_only_the_first_of_several_breaks(monkeypatch):
 def test_pi_reports_only_the_first_of_several_breaks(monkeypatch):
     # With no swap the array stays [5, 2, 6, 1, 4, 3], which breaks pi at
     # every boundary; the first, after outer pass 1, is the one reported.
-    monkeypatch.setattr(verify, "icbics_sort", rewritten_sort(drop_every_swap))
+    faults.install(monkeypatch, faults.rewritten({(5, 2, 6, 1, 4, 3): faults.drop_every_swap}))
     verdict = check_pi_invariant([5, 2, 6, 1, 4, 3])
     assert not verdict.passed
     assert verdict.counterexample == {"input": [5, 2, 6, 1, 4, 3], "outer": 1, "expected": 6, "observed": 5}
@@ -179,7 +144,7 @@ def test_pi_reports_only_the_first_of_several_breaks(monkeypatch):
 
 def test_rewrites_leave_untouched_runs_passing(monkeypatch):
     # The wrapper alone, delivering every event, changes no verdict.
-    monkeypatch.setattr(verify, "icbics_sort", rewritten_sort(list))
+    faults.install(monkeypatch, faults.rewritten({(3, 1, 2): list}))
     assert check_lemma1([3, 1, 2]).passed
     assert check_pi_invariant([3, 1, 2]).passed
 
