@@ -66,16 +66,21 @@ RANDOM_SUITE_N = 64
 # ---------------------------------------------------------------- sort
 
 
-def _shown(text: str) -> str:
-    # At most 200 characters of text that an error message echoes.
+def _cut(text: str) -> str:
+    # At most 200 characters of text that an error message echoes, then its length if longer.
     return text if len(text) <= 200 else f"{text[:200]}... ({len(text)} characters)"
+
+
+def _shown(value: object) -> str:
+    # The one echo of outside input in an error message: its repr, cut at 200 characters.
+    return _cut(repr(value))
 
 
 def _read_int(text: str) -> int:
     # The one integer reader for input and arguments: ASCII digits, an optional sign, no "_".
     # Here and in every reader, only ASCII whitespace pads a value.
     if re.fullmatch(r"[+-]?[0-9]+", text.strip(string.whitespace)) is None:
-        raise ValueError(f"not a decimal integer: {_shown(repr(text))}")
+        raise ValueError(f"not a decimal integer: {_shown(text)}")
     return int(text)
 
 
@@ -100,16 +105,15 @@ def _read_input_values(source: str) -> list[int]:
         try:
             return parse_int_values(source)
         except ValueError as err:
-            shown = _shown(repr(source))
-            raise ValueError(f"{shown} names no file, and is not a list of integers: {err}") from None
+            raise ValueError(f"{_shown(source)} names no file, and is not a list of integers: {err}") from None
     try:
         parse_int_values(source)
     except ValueError:
         try:
             return parse_int_values(Path(source).read_text(encoding="utf-8"))
         except ValueError as err:  # a decoding error is a ValueError too
-            raise ValueError(f"file {_shown(repr(source))}: {err}") from None
-    raise ValueError(f"{source!r} is both inline values and a file name; write ./{source} to read the file")
+            raise ValueError(f"file {_shown(source)}: {err}") from None
+    raise ValueError(f"{_shown(source)} is both inline values and a file name; write ./{source} to read the file")
 
 
 # The kinds and phases sorters emit.  Each loaded one is swapped for the module's
@@ -155,7 +159,7 @@ def write_trace(path: str, events: Iterable[TraceEvent]) -> None:
             _write_trace_line(lines.append, event)
             read = _read_trace_line(number, lines[0][:-1], last_seq, int)
             if read != event:
-                raise ValueError(f"trace line {number}: {event!r} would read back as {read!r}")
+                raise ValueError(f"trace line {number}: {_shown(event)} would read back as {_shown(read)}")
             last_seq = read[0]
             fh.write(lines[0])
 
@@ -194,7 +198,7 @@ def cmd_sort(args: argparse.Namespace) -> int:
     # Opening the trace would empty the input file if it named that file, by any path.
     both_exist = args.trace is not None and os.path.exists(args.trace) and os.path.isfile(args.input)
     if both_exist and os.path.samefile(args.trace, args.input):
-        print(f"sortlab sort: cannot write trace: {args.trace!r} is the input file", file=sys.stderr)
+        print(f"sortlab sort: cannot write trace: {_shown(args.trace)} is the input file", file=sys.stderr)
         return 2
     info = ALGORITHMS[args.algo]
     # Each event goes to the file as the sorter makes it, so no trace is held in memory.
@@ -497,14 +501,14 @@ def cmd_bench(args: argparse.Namespace) -> int:
 def _check_ids(text: str) -> list[str]:
     names = [tok.strip(string.whitespace) for tok in text.split(",")]
     if "" in names:
-        raise argparse.ArgumentTypeError(f"empty check name in {text!r}")
+        raise argparse.ArgumentTypeError(f"empty check name in {_shown(text)}")
     unknown = sorted(set(names) - set(CHECK_IDS))
     if unknown:
         raise argparse.ArgumentTypeError(
-            f"unknown checks: {', '.join(unknown)}; valid: {', '.join(CHECK_IDS)}"
+            f"unknown checks: {_cut(', '.join(unknown))}; valid: {', '.join(CHECK_IDS)}"
         )
     if len(set(names)) < len(names):
-        raise argparse.ArgumentTypeError(f"each check may be named only once, got {text!r}")
+        raise argparse.ArgumentTypeError(f"each check may be named only once, got {_shown(text)}")
     return names
 
 
@@ -526,9 +530,9 @@ def _sizes(text: str) -> list[int]:
     try:
         sizes = parse_int_values(text)
     except ValueError as err:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from err
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {_shown(text)}") from err
     if not sizes or min(sizes) < 0:
-        raise argparse.ArgumentTypeError(f"must name at least one input length, each >= 0, got {text!r}")
+        raise argparse.ArgumentTypeError(f"must name at least one input length, each >= 0, got {_shown(text)}")
     return sizes
 
 

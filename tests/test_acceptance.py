@@ -1,9 +1,10 @@
 """Acceptance suite: every quantitative claim the package makes,
 verified end to end at its stated scale.
 
-Each test prints one [PASS]/[FAIL] line (run with -s to see them all;
-the scaling observation prints [WARN] instead of failing, since wall
-time depends on the machine).
+Each test prints one [PASS]/[FAIL] line (run with -s to see them all).
+Wall time depends on the machine, so the timing notes only warn: a slow
+correctness or swap-delta sweep, and a scaling observation out of range,
+which prints [WARN] instead of failing.
 """
 
 from __future__ import annotations
@@ -34,6 +35,10 @@ from sortlab import (
     theorem4_extremal_input,
 )
 from sortlab.cli import collect_bench_records, summarize_bench
+
+# The timing notes of test_01, test_03 and test_10 warn and never fail: the suite's
+# "error" filter would raise them, so a UserWarning from this module stays a warning.
+pytestmark = pytest.mark.filterwarnings("default::UserWarning:test_acceptance")
 
 
 def note(ok: bool, label: str, detail: str) -> bool:

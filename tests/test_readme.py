@@ -13,7 +13,8 @@ from pathlib import Path
 
 import pytest
 
-from sortlab.cli import main
+from sortlab.cli import BENCH_COLUMNS, main
+from sortlab.verify import CHECK_IDS
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 BLOCK = re.compile(r"^```python\n(.*?)^```", re.MULTILINE | re.DOTALL)
@@ -50,3 +51,10 @@ def test_readme_sort_example_prints_what_the_cli_prints(tmp_path, capsys):
     assert main(argv) == 0
     assert capsys.readouterr().out == printed + "\n"
     assert (tmp_path / "trace.jsonl").read_text(encoding="utf-8").count("\n") == 16 + 5
+
+
+def test_readme_lists_the_check_ids_and_bench_columns_the_code_has():
+    text = README.read_text(encoding="utf-8")
+    check_ids = re.search(r"Check ids: (.*?) \(", text, re.DOTALL).group(1)
+    assert tuple(re.findall(r"`([^`]+)`", check_ids)) == CHECK_IDS
+    assert re.search(r"with the header\s+`([^`]+)`", text).group(1) == ",".join(BENCH_COLUMNS)

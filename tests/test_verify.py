@@ -3,8 +3,6 @@ per-swap inversion deltas, the three swap bounds, and instability."""
 
 from __future__ import annotations
 
-from itertools import permutations
-
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -46,12 +44,6 @@ def test_pi_invariant_examples(values):
     assert verdict.counterexample is None
 
 
-def test_pi_invariant_exhaustive_small():
-    for n in range(2, 6):
-        for perm in permutations(range(1, n + 1)):
-            assert check_pi_invariant(perm).passed
-
-
 def test_pi_invariant_rejects_duplicates():
     with pytest.raises(ValueError):
         check_pi_invariant([1, 1])
@@ -69,12 +61,6 @@ def test_property_pi_invariant(values):
 def test_lemma1_examples(values):
     verdict = check_lemma1(values)
     assert verdict.passed
-
-
-def test_lemma1_exhaustive_small():
-    for n in range(2, 6):
-        for perm in permutations(range(1, n + 1)):
-            assert check_lemma1(perm).passed
 
 
 def test_lemma1_rejects_duplicates():
