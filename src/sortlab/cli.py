@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import json
 import os
 import random
@@ -26,7 +27,7 @@ from functools import lru_cache, partial
 from itertools import chain, product
 from pathlib import Path
 from statistics import fmean
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .metrics import swap_bounds
 from .oracle import (
@@ -113,12 +114,12 @@ def _read_input_values(source: str) -> list[int]:
             return parse_int_values(Path(source).read_text(encoding="utf-8"))
         except ValueError as err:  # a decoding error is a ValueError too
             raise ValueError(f"file {_shown(source)}: {err}") from None
-    raise ValueError(f"{_shown(source)} is both inline values and a file name; write ./{source} to read the file")
+    raise ValueError(f"{_shown(source)} is both inline values and a file name; write {_shown('./' + source)} to read the file")
 
 
 # The kinds and phases sorters emit.  Each loaded one is swapped for the module's
 # own string, so a long trace holds no per-event copies of these few values;
-# load_trace likewise reads each distinct position into one shared int.
+# the reader likewise reads each distinct position into one shared int.
 _TRACE_WORDS = {word: word for word in (KIND_COMPARE, KIND_SWAP, PHASE_SELECTION, PHASE_INSERTION, PHASE_NA)}
 # The one trace line grammar, spaced and ordered as _write_trace_line writes it.
 _TRACE_LINE = re.compile(
@@ -132,61 +133,84 @@ def _write_trace_line(write: Callable[[str], object], event: TraceEvent) -> None
     write(f'{{"seq": {seq}, "kind": "{kind}", "i": {i}, "j": {j}, "phase": "{phase}"}}\n')
 
 
-def _read_trace_line(number: int, line: str, last_seq: int, position: Callable[[str], int]) -> TraceEvent:
-    # The one trace line reader: a stripped line of the grammar with seq above last_seq,
-    # its positions read by ``position``, which refuses what int refuses.
-    match = _TRACE_LINE.fullmatch(line)
-    try:
-        if match is None:
-            raise ValueError(f"not of the form {_TRACE_LINE.pattern}")
-        seq, kind, i, j, phase = match.groups()
-        seq, i, j = int(seq), position(i), position(j)  # int refuses an integer past Python's limit on digits
-        if seq <= last_seq:
-            raise ValueError(f"seq does not rise above {last_seq}")
-    except ValueError as err:
-        raise ValueError(f"trace line {number}: {err}: {_shown(line)}") from None
-    return tuple.__new__(TraceEvent, (seq, _TRACE_WORDS[kind], i, j, _TRACE_WORDS[phase]))
-
-
-def write_trace(path: str, events: Iterable[TraceEvent]) -> None:
-    """Write events as JSON lines, one object per event.  Raises ``ValueError``
-    on an event whose line :func:`load_trace` would not read back as that
-    event, before writing it; the lines before it stay written."""
+def _read_trace(lines: Iterable[str]) -> Iterator[TraceEvent]:
+    # The one trace reader: each line that is not blank (only ASCII whitespace), stripped, must be
+    # of the grammar with seq above the last event's.
     last_seq = -1
-    with open(path, "w", encoding="utf-8") as fh:
-        for number, event in enumerate(events, 1):
-            lines = []
-            _write_trace_line(lines.append, event)
-            read = _read_trace_line(number, lines[0][:-1], last_seq, int)
-            if read != event:
-                raise ValueError(f"trace line {number}: {_shown(event)} would read back as {_shown(read)}")
-            last_seq = read[0]
-            fh.write(lines[0])
+    position = lru_cache(maxsize=None)(int)  # one int object per distinct position, for this reader
+    for number, line in enumerate(lines, 1):
+        line = line.strip(string.whitespace)
+        if not line:
+            continue
+        match = _TRACE_LINE.fullmatch(line)
+        try:
+            if match is None:
+                raise ValueError(f"not of the form {_TRACE_LINE.pattern}")
+            seq, kind, i, j, phase = match.groups()
+            seq, i, j = int(seq), position(i), position(j)  # int refuses an integer past Python's limit on digits
+            if seq <= last_seq:
+                raise ValueError(f"seq does not rise above {last_seq}")
+        except ValueError as err:
+            raise ValueError(f"trace line {number}: {err}: {_shown(line)}") from None
+        last_seq = seq
+        yield tuple.__new__(TraceEvent, (seq, _TRACE_WORDS[kind], i, j, _TRACE_WORDS[phase]))
 
 
-def load_trace(path: str) -> list[TraceEvent]:
-    """Read a trace that ``sort --trace`` wrote back into events.
+def iter_trace(path: str) -> Iterator[TraceEvent]:
+    """Stream the events of a trace that ``sort --trace`` wrote, one line at a time.
 
     Each line that is not blank (only ASCII whitespace) must be one event
     in the writer's grammar, with its spacing and key order: ``seq`` from
     0 and rising (gaps allowed), ``i`` and ``j`` from 1, a kind and phase
-    that sorters emit.  Raises ``ValueError``, naming the 1-based line, on
-    any other line.  Events share their kind and phase strings and one int
-    per distinct position, so a loaded event costs about 121 bytes.
+    that sorters emit.  The file is opened at the first ``next``, and a bad
+    line raises ``ValueError``, naming its 1-based number, only when the
+    reader reaches it, after every event before it has been yielded.
     """
-    events = []
-    last_seq = -1
-    position = lru_cache(maxsize=None)(int)  # one int object per distinct position, for this call
     # Bytes that are not UTF-8 read as U+FFFD, which the grammar refuses with its line.
     # Lines end at "\n" alone; the strip takes a "\r" before it, and the grammar refuses one inside.
     with open(path, "r", encoding="utf-8", errors="replace", newline="\n") as fh:
-        for number, line in enumerate(fh, 1):
-            line = line.strip(string.whitespace)
-            if line:
-                event = _read_trace_line(number, line, last_seq, position)
-                last_seq = event[0]
-                events.append(event)
-    return events
+        yield from _read_trace(fh)
+
+
+def write_trace(path: str, events: Iterable[TraceEvent]) -> None:
+    """Write events as JSON lines, one object per event.  Raises ``ValueError``
+    on an event whose line :func:`iter_trace` would not read back as that
+    event, before writing it; the lines before it stay written."""
+    pending = []  # the event in hand, then its line as sort --trace writes it
+
+    def lines() -> Iterator[str]:
+        for event in events:
+            pending[:] = [event]
+            _write_trace_line(pending.append, event)
+            yield pending[1]
+
+    with open(path, "w", encoding="utf-8") as fh:
+        for number, read in enumerate(_read_trace(lines()), 1):
+            event, line = pending
+            if read != event:
+                raise ValueError(f"trace line {number}: {_shown(event)} would read back as {_shown(read)}")
+            fh.write(line)
+
+
+def load_trace(path: str) -> list[TraceEvent]:
+    """Read a whole trace into a list: ``list(iter_trace(path))``, refusing
+    what :func:`iter_trace` refuses.  Events share their kind and phase
+    strings and one int per distinct position, so a loaded event costs about
+    121 bytes.
+
+    CPython's cyclic collector is paused while the list is built, and
+    ``gc.isenabled()`` restored on every exit, a refusal included: every
+    event is a tuple subclass, which the collector keeps tracked and would
+    traverse again and again as the list grows, though the reader makes no
+    reference cycles.  Other threads run without it meanwhile.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return list(iter_trace(path))
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def cmd_sort(args: argparse.Namespace) -> int:
@@ -516,13 +540,15 @@ def _int_range(low: Optional[int] = None, high: Optional[int] = None) -> Callabl
     """An argparse type: an integer in ``low..high``, with no bound on a side that is None."""
 
     def parse(text: str) -> int:
-        value = _read_int(text)
+        try:
+            value = _read_int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {_shown(text)}") from None
         if (low is not None and value < low) or (high is not None and value > high):
             bound = f">= {low}" if high is None else f"between {low} and {high}"
             raise argparse.ArgumentTypeError(f"must be {bound}, got {value}")
         return value
 
-    parse.__name__ = "int"  # argparse names the type in "invalid int value: 'x'"
     return parse
 
 
@@ -536,8 +562,22 @@ def _sizes(text: str) -> list[int]:
     return sizes
 
 
+class _Parser(argparse.ArgumentParser):
+    # argparse's parser, but a bad choice and unrecognized arguments are echoed through _shown
+    # like any other value; the usage line above the error lists the choices.
+    def _check_value(self, action: argparse.Action, value: str) -> None:
+        if action.choices is not None and value not in action.choices:
+            raise argparse.ArgumentError(action, f"invalid choice: {_shown(value)}")
+
+    def parse_args(self, args=None, namespace=None):
+        args, extra = self.parse_known_args(args, namespace)
+        if extra:
+            self.error(f"unrecognized arguments: {_shown(' '.join(extra))}")
+        return args
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="sortlab",
         description="Instrumented playground for a double-loop sort that looks wrong and isn't.",
     )

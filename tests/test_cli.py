@@ -9,12 +9,15 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import gc
 import io
 import json
 import os
+import random
 import re
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import asdict
 from itertools import product
 from pathlib import Path
@@ -29,6 +32,7 @@ from sortlab import replay_trace
 from sortlab.cli import (
     BENCH_COLUMNS,
     collect_bench_records,
+    iter_trace,
     load_trace,
     main,
     parse_int_values,
@@ -157,25 +161,35 @@ def test_sort_file_input_comma_format(tmp_path, capsys):
 LONG_SHOWN = "'" + "x" * 199 + "... (302 characters)"
 
 
+def neither(shown: str, token: str) -> str:
+    return f"{shown} names no file, and is not a list of integers: not a decimal integer: {token}"
+
+
 # An --input that names no file and does not parse: the argument and its first bad token, each as
 # its repr cut at 200 characters.  Only ASCII whitespace pads or parts values: "\x1f" is whitespace
-# to str.split, not to sort.
+# to str.split, not to sort.  One that both parses and names a file is refused too, its hint escaped.
 @pytest.mark.parametrize(
-    "argument, shown, token",
+    "argument, reason",
     [
-        pytest.param("1_0,2", "'1_0,2'", "'1_0'", id="underscore"),
-        pytest.param("\uff13,\u0661", "'\uff13,\u0661'", "'\uff13'", id="non-ascii-digits"),
-        pytest.param("5,\x1f3", r"'5,\x1f3'", r"'\x1f3'", id="non-ascii-space"),
-        pytest.param("5\x1f3", r"'5\x1f3'", r"'5\x1f3'", id="non-ascii-separator"),
-        pytest.param("1,x,3", "'1,x,3'", "'x'", id="bad-inline-value"),
-        pytest.param("no/such/file.txt", "'no/such/file.txt'", "'no/such/file.txt'", id="missing-file"),
-        pytest.param("x" * 300, LONG_SHOWN, LONG_SHOWN, id="echo-cut-at-200-characters"),
+        pytest.param("1_0,2", neither("'1_0,2'", "'1_0'"), id="underscore"),
+        pytest.param("\uff13,\u0661", neither("'\uff13,\u0661'", "'\uff13'"), id="non-ascii-digits"),
+        pytest.param("5,\x1f3", neither(r"'5,\x1f3'", r"'\x1f3'"), id="non-ascii-space"),
+        pytest.param("5\x1f3", neither(r"'5\x1f3'", r"'5\x1f3'"), id="non-ascii-separator"),
+        pytest.param("1,x,3", neither("'1,x,3'", "'x'"), id="bad-inline-value"),
+        pytest.param("no/such/file.txt", neither("'no/such/file.txt'", "'no/such/file.txt'"), id="missing-file"),
+        pytest.param("x" * 300, neither(LONG_SHOWN, LONG_SHOWN), id="echo-cut-at-200-characters"),
+        pytest.param(
+            "1\t2",
+            r"'1\t2' is both inline values and a file name; write './1\t2' to read the file",
+            id="values-and-a-file-name-with-a-tab",
+        ),
     ],
 )
-def test_sort_refuses_input_that_is_neither_a_file_nor_integers(capsys, argument, shown, token):
+def test_sort_refuses_input_that_is_neither_a_file_nor_integers(capsys, monkeypatch, tmp_path, argument, reason):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "1\t2").write_text("3\n")
     rc, out, err = run(capsys, "sort", "--input", argument)
     assert (rc, out) == (2, "")
-    reason = f"{shown} names no file, and is not a list of integers: not a decimal integer: {token}"
     assert err == f"sortlab sort: cannot read input: {reason}\n"
 
 
@@ -315,6 +329,51 @@ def test_load_trace_rejects_malformed_events(tmp_path, text):
     assert str(refused.value).startswith(f"trace line {text.count(newline) + 1}: ")
     assert len(str(refused.value)) < 1024
     assert str(refused.value).isprintable()
+    # iter_trace first yields the event of each line before the bad one, then refuses it alike.
+    streamed = []
+    with pytest.raises(ValueError) as streaming:
+        for event in iter_trace(str(trace_path)):
+            streamed.append(event)
+    assert str(streaming.value) == str(refused.value)
+    data = trace_path.read_bytes()
+    head_path = tmp_path / "head.jsonl"
+    head_path.write_bytes(data[: data.rfind(b"\n", 0, -1) + 1])
+    assert streamed == load_trace(str(head_path))
+    assert len(streamed) == text.count(newline)
+
+
+def test_load_trace_leaves_the_collector_as_it_found_it(tmp_path):
+    good_path, bad_path = tmp_path / "good.jsonl", tmp_path / "bad.jsonl"
+    write_trace(str(good_path), [GOOD_EVENT])
+    bad_path.write_text("x\n")
+    was_enabled = gc.isenabled()
+    try:
+        for enabled in (True, False):
+            gc.enable() if enabled else gc.disable()
+            assert load_trace(str(good_path)) == [GOOD_EVENT]
+            assert gc.isenabled() is enabled
+            for refused in (bad_path, tmp_path / "absent.jsonl"):
+                with pytest.raises((ValueError, OSError)):
+                    load_trace(str(refused))
+                assert gc.isenabled() is enabled
+    finally:
+        gc.enable() if was_enabled else gc.disable()
+
+
+def test_replaying_a_streamed_trace_holds_no_list_of_events(tmp_path, capsys):
+    # At n = 300 an icbics trace has about 113 k events, about 13 MB as a list.
+    trace_path = tmp_path / "trace.jsonl"
+    values = list(range(1, 301))
+    random.Random(0).shuffle(values)
+    assert run(capsys, "sort", "--input", ",".join(map(str, values)), "--trace", str(trace_path))[0] == 0
+    tracemalloc.start()
+    try:
+        replayed = replay_trace(values, iter_trace(str(trace_path)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert replayed == sorted(values)
+    assert peak < 2_000_000
 
 
 def test_sort_refuses_an_input_that_is_both_values_and_a_file(tmp_path, monkeypatch, capsys):
@@ -578,6 +637,10 @@ def test_verify_with_samples(capsys):
     }
 
 
+# The repr of "x" * 1000 cut at 200 characters, then the repr's length.
+LONG_X = "'" + "x" * 199 + "... (1002 characters)"
+
+
 @pytest.mark.parametrize(
     "argv, phrase",
     [
@@ -616,6 +679,16 @@ def test_verify_with_samples(capsys):
         (["verify", "--checks", "x" * 1000], "... (1000 characters)"),
         (["verify", "--checks", "pi," * 333 + ","], "... (1002 characters)"),
         (["verify", "--checks", ",".join(["pi"] * 334)], "... (1003 characters)"),
+        # argparse's own refusals echo a value the same way: a bad choice, a bad integer, an extra argument.
+        (["x" * 1000], f"argument command: invalid choice: {LONG_X}"),
+        (["sort", "--algo", "x" * 1000, "--input", "1"], f"argument --algo: invalid choice: {LONG_X}"),
+        (["bench", "--format", "x" * 1000], f"argument --format: invalid choice: {LONG_X}"),
+        (["verify", "--n-max", "x" * 1000], f"argument --n-max: invalid int value: {LONG_X}"),
+        (["verify", "--samples", "x" * 1000], f"argument --samples: invalid int value: {LONG_X}"),
+        (["verify", "--seed", "x" * 1000], f"argument --seed: invalid int value: {LONG_X}"),
+        (["bench", "--reps", "x" * 1000], f"argument --reps: invalid int value: {LONG_X}"),
+        (["bench", "--seed", "x" * 1000], f"argument --seed: invalid int value: {LONG_X}"),
+        (["verify", "x" * 1000], f"unrecognized arguments: {LONG_X}"),
     ],
 )
 def test_bad_arguments_get_argparse_usage_errors(capsys, argv, phrase):
