@@ -68,13 +68,19 @@ RANDOM_SUITE_N = 64
 
 
 def _cut(text: str) -> str:
-    # At most 200 characters of text that an error message echoes, then its length if longer.
+    # At most 200 characters of an error message or of its echo, then the text's length if longer.
     return text if len(text) <= 200 else f"{text[:200]}... ({len(text)} characters)"
 
 
 def _shown(value: object) -> str:
-    # The one echo of outside input in an error message: its repr, cut at 200 characters.
+    # A library reader's echo of outside input in its ValueError: its repr, cut at 200 characters.
     return _cut(repr(value))
+
+
+def _refusal(message: str) -> str:
+    # The one rule for what an exit-2 refusal prints: each character that is not printable escaped
+    # as repr escapes it, then the whole cut; so a message's reason comes before its echo.
+    return _cut("".join(c if c.isprintable() else repr(c)[1:-1] for c in message))
 
 
 def _read_int(text: str) -> int:
@@ -106,15 +112,15 @@ def _read_input_values(source: str) -> list[int]:
         try:
             return parse_int_values(source)
         except ValueError as err:
-            raise ValueError(f"{_shown(source)} names no file, and is not a list of integers: {err}") from None
+            raise ValueError(f"{err}, and no file is named {source!r}") from None
     try:
         parse_int_values(source)
     except ValueError:
         try:
             return parse_int_values(Path(source).read_text(encoding="utf-8"))
         except ValueError as err:  # a decoding error is a ValueError too
-            raise ValueError(f"file {_shown(source)}: {err}") from None
-    raise ValueError(f"{_shown(source)} is both inline values and a file name; write {_shown('./' + source)} to read the file")
+            raise ValueError(f"{err}, in file {source!r}") from None
+    raise ValueError(f"both inline values and a file name; write {'./' + source!r} to read the file")
 
 
 # The kinds and phases sorters emit.  Each loaded one is swapped for the module's
@@ -217,12 +223,12 @@ def cmd_sort(args: argparse.Namespace) -> int:
     try:
         values = _read_input_values(args.input)
     except (OSError, ValueError) as err:
-        print(f"sortlab sort: cannot read input: {err}", file=sys.stderr)
+        print(f"sortlab sort: {_refusal(f'cannot read input: {err}')}", file=sys.stderr)
         return 2
     # Opening the trace would empty the input file if it named that file, by any path.
     both_exist = args.trace is not None and os.path.exists(args.trace) and os.path.isfile(args.input)
     if both_exist and os.path.samefile(args.trace, args.input):
-        print(f"sortlab sort: cannot write trace: {_shown(args.trace)} is the input file", file=sys.stderr)
+        print(f"sortlab sort: {_refusal(f'cannot write trace over the input file: {args.trace!r}')}", file=sys.stderr)
         return 2
     info = ALGORITHMS[args.algo]
     # Each event goes to the file as the sorter makes it, so no trace is held in memory.
@@ -230,7 +236,7 @@ def cmd_sort(args: argparse.Namespace) -> int:
         with open(args.trace, "w", encoding="utf-8") if args.trace is not None else nullcontext() as fh:
             report = info.func(values, None if fh is None else partial(_write_trace_line, fh.write))
     except OSError as err:
-        print(f"sortlab sort: cannot write trace: {err}", file=sys.stderr)
+        print(f"sortlab sort: {_refusal(f'cannot write trace: {err}')}", file=sys.stderr)
         return 2
     payload = {
         "algorithm": report.algorithm,
@@ -525,14 +531,13 @@ def cmd_bench(args: argparse.Namespace) -> int:
 def _check_ids(text: str) -> list[str]:
     names = [tok.strip(string.whitespace) for tok in text.split(",")]
     if "" in names:
-        raise argparse.ArgumentTypeError(f"empty check name in {_shown(text)}")
+        raise argparse.ArgumentTypeError(f"empty check name in {text!r}")
     unknown = sorted(set(names) - set(CHECK_IDS))
     if unknown:
-        raise argparse.ArgumentTypeError(
-            f"unknown checks: {_cut(', '.join(unknown))}; valid: {', '.join(CHECK_IDS)}"
-        )
+        valid = ", ".join(CHECK_IDS)
+        raise argparse.ArgumentTypeError(f"unknown checks (valid: {valid}): {', '.join(map(repr, unknown))}")
     if len(set(names)) < len(names):
-        raise argparse.ArgumentTypeError(f"each check may be named only once, got {_shown(text)}")
+        raise argparse.ArgumentTypeError(f"each check may be named only once, got {text!r}")
     return names
 
 
@@ -543,7 +548,7 @@ def _int_range(low: Optional[int] = None, high: Optional[int] = None) -> Callabl
         try:
             value = _read_int(text)
         except ValueError:
-            raise argparse.ArgumentTypeError(f"invalid int value: {_shown(text)}") from None
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
         if (low is not None and value < low) or (high is not None and value > high):
             bound = f">= {low}" if high is None else f"between {low} and {high}"
             raise argparse.ArgumentTypeError(f"must be {bound}, got {value}")
@@ -556,24 +561,16 @@ def _sizes(text: str) -> list[int]:
     try:
         sizes = parse_int_values(text)
     except ValueError as err:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {_shown(text)}") from err
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from err
     if not sizes or min(sizes) < 0:
-        raise argparse.ArgumentTypeError(f"must name at least one input length, each >= 0, got {_shown(text)}")
+        raise argparse.ArgumentTypeError(f"must name at least one input length, each >= 0, got {text!r}")
     return sizes
 
 
 class _Parser(argparse.ArgumentParser):
-    # argparse's parser, but a bad choice and unrecognized arguments are echoed through _shown
-    # like any other value; the usage line above the error lists the choices.
-    def _check_value(self, action: argparse.Action, value: str) -> None:
-        if action.choices is not None and value not in action.choices:
-            raise argparse.ArgumentError(action, f"invalid choice: {_shown(value)}")
-
-    def parse_args(self, args=None, namespace=None):
-        args, extra = self.parse_known_args(args, namespace)
-        if extra:
-            self.error(f"unrecognized arguments: {_shown(' '.join(extra))}")
-        return args
+    # argparse's parser, whose every refusal, its echoes included, is printed by the one rule.
+    def error(self, message: str):
+        super().error(_refusal(message))
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -7,6 +7,7 @@ exactly as a shell would see it: 0 success, 1 failed verification,
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import dataclasses
 import gc
@@ -27,10 +28,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import faults
+import reference
 import sortlab.cli as cli
 from sortlab import replay_trace
 from sortlab.cli import (
     BENCH_COLUMNS,
+    build_parser,
     collect_bench_records,
     iter_trace,
     load_trace,
@@ -53,9 +56,17 @@ from sortlab.sortcore import (
 CSV_HEADER = "algorithm,n,rep,seed,comparisons,swaps,wall_ns"
 
 
+def follows_the_refusal_rule(err: str) -> bool:
+    # What every exit-2 refusal prints: under 500 characters, and no character on a line that is
+    # not printable.  Only "\n" ends a line here; str.splitlines would also end one at "\x1c".
+    return len(err) < 500 and all(line.isprintable() for line in err.split("\n"))
+
+
 def run(capsys, *argv):
     rc = main(list(argv))
     captured = capsys.readouterr()
+    if rc == 2:
+        assert follows_the_refusal_rule(captured.err), captured.err
     return rc, captured.out, captured.err
 
 
@@ -84,6 +95,30 @@ def test_parse_int_values(text, expected):
 def test_parse_int_values_takes_only_ascii_decimal_integers(text):
     with pytest.raises(ValueError, match="not a decimal integer"):
         parse_int_values(text)
+
+
+# Integer lists and near misses: tokens that are integers or nearly, parted by separators ASCII or not;
+# and text of signs, separators, ASCII whitespace and characters that look like it or like digits.
+INT_TOKENS = st.one_of(
+    st.integers().map(str),
+    st.sampled_from(("1_0", "+-1", "+", "", "0x10", "1.0", "\u0663", "\uff13", "\x1c3", "3\x85", "\u30003")),
+)
+INT_TEXT = st.one_of(
+    st.tuples(st.sampled_from((",", ", ", " ,", "\n", " \t", "\x1c", "\u3000")), st.lists(INT_TOKENS, max_size=6)).map(
+        lambda parts: parts[0].join(parts[1])
+    ),
+    st.text(st.sampled_from("0123456789+-,_ \t\n\r\x0b\x0c\x1c\x85\u3000\u0663\uff13x."), max_size=30),
+    st.text(max_size=30),
+)
+
+
+@given(INT_TEXT)
+def test_parse_int_values_reads_what_the_reference_grammar_reads(text):
+    expected = reference.read_int_values(text)
+    try:
+        assert parse_int_values(text) == expected
+    except ValueError:
+        assert expected is None
 
 
 def test_signed_seeds_are_still_read(capsys):
@@ -157,17 +192,19 @@ def test_sort_file_input_comma_format(tmp_path, capsys):
     assert json.loads(out)["output"] == [1, 2, 3, 4, 5]
 
 
-# The repr of "x" * 300 cut at 200 characters, then the repr's length.
-LONG_SHOWN = "'" + "x" * 199 + "... (302 characters)"
+def long_x(prefix: str, length: int) -> str:
+    # A message that echoes many "x", cut at 200 characters, then the whole message's length.
+    return prefix + "x" * (200 - len(prefix)) + f"... ({length} characters)"
 
 
 def neither(shown: str, token: str) -> str:
-    return f"{shown} names no file, and is not a list of integers: not a decimal integer: {token}"
+    return f"cannot read input: not a decimal integer: {token}, and no file is named {shown}"
 
 
-# An --input that names no file and does not parse: the argument and its first bad token, each as
-# its repr cut at 200 characters.  Only ASCII whitespace pads or parts values: "\x1f" is whitespace
-# to str.split, not to sort.  One that both parses and names a file is refused too, its hint escaped.
+# An --input that names no file and does not parse: its first bad token, then the argument, as
+# reprs, the whole message cut at 200 characters.  Only ASCII whitespace pads or parts values: "\x1f"
+# is whitespace to str.split, not to sort.  One that both parses and names a file is refused too,
+# its hint escaped.
 @pytest.mark.parametrize(
     "argument, reason",
     [
@@ -177,10 +214,12 @@ def neither(shown: str, token: str) -> str:
         pytest.param("5\x1f3", neither(r"'5\x1f3'", r"'5\x1f3'"), id="non-ascii-separator"),
         pytest.param("1,x,3", neither("'1,x,3'", "'x'"), id="bad-inline-value"),
         pytest.param("no/such/file.txt", neither("'no/such/file.txt'", "'no/such/file.txt'"), id="missing-file"),
-        pytest.param("x" * 300, neither(LONG_SHOWN, LONG_SHOWN), id="echo-cut-at-200-characters"),
+        pytest.param(
+            "x" * 300, long_x("cannot read input: not a decimal integer: '", 587), id="echo-cut-at-200-characters"
+        ),
         pytest.param(
             "1\t2",
-            r"'1\t2' is both inline values and a file name; write './1\t2' to read the file",
+            r"cannot read input: both inline values and a file name; write './1\t2' to read the file",
             id="values-and-a-file-name-with-a-tab",
         ),
     ],
@@ -190,7 +229,8 @@ def test_sort_refuses_input_that_is_neither_a_file_nor_integers(capsys, monkeypa
     (tmp_path / "1\t2").write_text("3\n")
     rc, out, err = run(capsys, "sort", "--input", argument)
     assert (rc, out) == (2, "")
-    assert err == f"sortlab sort: cannot read input: {reason}\n"
+    assert err == f"sortlab sort: {reason}\n"
+    assert len(err) < 500
 
 
 def test_sort_names_an_input_file_that_does_not_parse(tmp_path, monkeypatch, capsys):
@@ -203,7 +243,7 @@ def test_sort_names_an_input_file_that_does_not_parse(tmp_path, monkeypatch, cap
         (tmp_path / "bad.txt").write_bytes(contents)
         rc, out, err = run(capsys, "sort", "--input", "bad.txt")
         assert (rc, out) == (2, "")
-        assert err == f"sortlab sort: cannot read input: file 'bad.txt': {error}\n"
+        assert err == f"sortlab sort: cannot read input: {error}, in file 'bad.txt'\n"
 
 
 def test_load_trace_shares_one_int_per_position(tmp_path, capsys):
@@ -425,10 +465,13 @@ def test_sort_takes_inline_values_too_long_for_a_file_name(capsys):
 
 def test_sort_unwritable_trace_never_runs_the_sorter(capsys, monkeypatch, tmp_path):
     calls = faults.count_runs(monkeypatch)
-    for target in (str(tmp_path / "absent" / "trace.jsonl"), ""):
+    monkeypatch.chdir(tmp_path)
+    for target in (str(tmp_path / "absent" / "trace.jsonl"), "", "x" * 3000):
         rc, out, err = run(capsys, "sort", "--input", "2,1", "--trace", target)
         assert (rc, out, calls) == (2, "", [])
         assert "cannot write trace" in err
+    # The OSError's own echo of a name past any file system's limit is cut like any refusal.
+    assert err == "sortlab sort: " + long_x("cannot write trace: [Errno 36] File name too long: '", 3053) + "\n"
 
 
 def test_sort_refuses_a_trace_path_naming_the_input_file(capsys, monkeypatch, tmp_path):
@@ -440,7 +483,7 @@ def test_sort_refuses_a_trace_path_naming_the_input_file(capsys, monkeypatch, tm
     for given, trace in [("in.txt", "in.txt"), ("in.txt", "./in.txt"), ("in.txt", "link.txt"), ("link.txt", "in.txt")]:
         rc, out, err = run(capsys, "sort", "--input", given, "--trace", trace)
         assert (rc, out, calls) == (2, "", [])
-        assert f"cannot write trace: {trace!r} is the input file" in err
+        assert f"cannot write trace over the input file: {trace!r}" in err
         assert source.read_text() == "3\n1\n2\n"
     rc, out, _ = run(capsys, "sort", "--input", "in.txt", "--trace", "trace.jsonl")
     assert rc == 0
@@ -552,6 +595,64 @@ def test_load_trace_reads_back_every_event_write_trace_accepts(tmp_path_factory,
         assert event.phase is PHASE_SELECTION or event.phase is PHASE_INSERTION or event.phase is PHASE_NA
 
 
+# Spellings of a value that the writer never writes, or writes only for another key.
+WRONG_NUMBERS = st.sampled_from(("0", "-1", "01", "-0", "+1", "1.0", "1e3", "true", "null", '"1"', "1_0", "\u0663"))
+WRONG_WORDS = st.sampled_from(
+    ('"swap"', '"selection"', '"Swap"', '"merge"', '""', "swap", '["swap"]', '"\\u0073wap"', "1")
+)
+
+
+@st.composite
+def trace_lines(draw):
+    # A line as the writer writes it, padded by ASCII whitespace; or one with a single flaw: a value,
+    # the keys, the spacing or the padding.
+    parts = {
+        "seq": str(draw(st.integers(0, 3) | st.integers(0, 10**20))),
+        "kind": json.dumps(draw(st.sampled_from((KIND_COMPARE, KIND_SWAP)))),
+        "i": str(draw(st.integers(1, 10**20))),
+        "j": str(draw(st.integers(1, 10**20))),
+        "phase": json.dumps(draw(st.sampled_from((PHASE_SELECTION, PHASE_INSERTION, PHASE_NA)))),
+    }
+    keys, comma, colon, pad = list(parts), ", ", ": ", " \t\r\x0b\x0c"
+    flaw = draw(st.sampled_from((None, None, "value", "value", "keys", "spacing", "padding")))
+    if flaw == "value":
+        key = draw(st.sampled_from(keys))
+        parts[key] = draw(WRONG_WORDS if key in ("kind", "phase") else WRONG_NUMBERS)
+    elif flaw == "keys":
+        parts["note"] = '"x"'
+        keys = draw(st.permutations(keys + draw(st.sampled_from((["i"], ["note"], [])))))
+    elif flaw == "spacing":
+        comma, colon = draw(st.sampled_from(((",", ":"), (", ", ":"), (" ,", ": "), (",  ", ": "))))
+    elif flaw == "padding":
+        pad = "\x1c\x85\u3000\u2028"
+    body = comma.join(f'"{key}"{colon}{parts[key]}' for key in keys)
+    padding = st.text(st.sampled_from(pad), max_size=2)
+    return draw(padding) + "{" + body + "}" + draw(padding)
+
+
+@given(st.lists(trace_lines() | st.text(max_size=80).map(lambda text: text.replace("\n", "")), max_size=6))
+def test_iter_trace_reads_a_line_iff_the_reference_grammar_does(tmp_path_factory, lines):
+    trace_path = tmp_path_factory.getbasetemp() / "lines.jsonl"
+    trace_path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    expected, refused = reference.read_trace(lines)
+    read = []
+    try:
+        for event in iter_trace(str(trace_path)):
+            read.append(event)
+    except ValueError as err:
+        assert str(err).startswith(f"trace line {refused}: ")
+        assert str(err).isprintable()
+    else:
+        assert refused is None
+    assert read == expected
+    # Each event read writes back as the very line it came from, padding aside.
+    stripped = [line.strip(reference.ASCII_WHITESPACE) for line in lines]
+    written = []
+    for event in read:
+        cli._write_trace_line(written.append, event)
+    assert written == [line + "\n" for line in stripped if line][: len(read)]
+
+
 # -------------------------------------------------------------- glue
 
 
@@ -637,8 +738,7 @@ def test_verify_with_samples(capsys):
     }
 
 
-# The repr of "x" * 1000 cut at 200 characters, then the repr's length.
-LONG_X = "'" + "x" * 199 + "... (1002 characters)"
+VALID_CHECKS = "valid: correctness, pi, lemma1, theorem2, theorem3, theorem4, instability"
 
 
 @pytest.mark.parametrize(
@@ -668,27 +768,31 @@ LONG_X = "'" + "x" * 199 + "... (1002 characters)"
         (["bench", "--sizes", "8\x1f16"], "expected comma-separated integers"),
         # A missing or unknown subcommand, algorithm or check, and lengths out of range.
         ([], "the following arguments are required: command"),
-        (["frobnicate"], "argument command: invalid choice: 'frobnicate'"),
-        (["sort", "--algo", "quicksort", "--input", "1"], "argument --algo: invalid choice: 'quicksort'"),
-        (["verify", "--checks", "correctness,nonsense"], "argument --checks: unknown checks: nonsense; valid: "),
+        (["frobnicate"], "argument command: invalid choice: 'frobnicate' (choose from 'sort', 'verify', 'bench')"),
+        (["sort", "--algo", "quicksort", "--input", "1"], "argument --algo: invalid choice: 'quicksort' (choose from "),
+        (["verify", "--checks", "correctness,nonsense"], f"argument --checks: unknown checks ({VALID_CHECKS}): 'nonsense'"),
         (["bench", "--sizes", "16,oops"], "argument --sizes: expected comma-separated integers, got '16,oops'"),
         (["bench", "--sizes", ""], "argument --sizes: must name at least one input length, each >= 0, got ''"),
-        # A value's echo is its repr cut at 200 characters, then the repr's length; unknown names, joined, likewise.
-        (["bench", "--sizes", "x" * 1000], "... (1002 characters)"),
-        (["bench", "--sizes", "1" + ",-1" * 333], "... (1002 characters)"),
-        (["verify", "--checks", "x" * 1000], "... (1000 characters)"),
-        (["verify", "--checks", "pi," * 333 + ","], "... (1002 characters)"),
-        (["verify", "--checks", ",".join(["pi"] * 334)], "... (1003 characters)"),
-        # argparse's own refusals echo a value the same way: a bad choice, a bad integer, an extra argument.
-        (["x" * 1000], f"argument command: invalid choice: {LONG_X}"),
-        (["sort", "--algo", "x" * 1000, "--input", "1"], f"argument --algo: invalid choice: {LONG_X}"),
-        (["bench", "--format", "x" * 1000], f"argument --format: invalid choice: {LONG_X}"),
-        (["verify", "--n-max", "x" * 1000], f"argument --n-max: invalid int value: {LONG_X}"),
-        (["verify", "--samples", "x" * 1000], f"argument --samples: invalid int value: {LONG_X}"),
-        (["verify", "--seed", "x" * 1000], f"argument --seed: invalid int value: {LONG_X}"),
-        (["bench", "--reps", "x" * 1000], f"argument --reps: invalid int value: {LONG_X}"),
-        (["bench", "--seed", "x" * 1000], f"argument --seed: invalid int value: {LONG_X}"),
-        (["verify", "x" * 1000], f"unrecognized arguments: {LONG_X}"),
+        # A message that echoes a long value is cut at 200 characters, then its length; so are unknown names, joined.
+        (["bench", "--sizes", "x" * 1000], "... (1059 characters)"),
+        (["bench", "--sizes", "1" + ",-1" * 333], "... (1072 characters)"),
+        (["verify", "--checks", "x" * 1000], "... (1113 characters)"),
+        (["verify", "--checks", "pi," * 333 + ","], "... (1041 characters)"),
+        (["verify", "--checks", ",".join(["pi"] * 334)], "... (1061 characters)"),
+        # argparse's own refusals are cut the same way: a bad choice, a bad integer, an extra argument.
+        (["x" * 1000], long_x("argument command: invalid choice: '", 1076)),
+        (["sort", "--algo", "x" * 1000, "--input", "1"], long_x("argument --algo: invalid choice: '", 1140)),
+        (["bench", "--format", "x" * 1000], long_x("argument --format: invalid choice: '", 1065)),
+        (["verify", "--n-max", "x" * 1000], long_x("argument --n-max: invalid int value: '", 1039)),
+        (["verify", "--samples", "x" * 1000], long_x("argument --samples: invalid int value: '", 1041)),
+        (["verify", "--seed", "x" * 1000], long_x("argument --seed: invalid int value: '", 1038)),
+        (["bench", "--reps", "x" * 1000], long_x("argument --reps: invalid int value: '", 1038)),
+        (["bench", "--seed", "x" * 1000], long_x("argument --seed: invalid int value: '", 1038)),
+        (["verify", "x" * 1000], long_x("unrecognized arguments: ", 1024)),
+        # Every refusal escapes what is not printable, as repr does, also where argparse echoes a value bare.
+        (["verify", "--checks", "pi,\x1b[31mred\x07"], rf"unknown checks ({VALID_CHECKS}): '\x1b[31mred\x07'"),
+        (["bench", "--s=\x1b[2J"], r"ambiguous option: --s=\x1b[2J could match --sizes, --seed"),
+        (["verify", "--s=" + "x" * 1000], long_x("ambiguous option: --s=", 1052)),
     ],
 )
 def test_bad_arguments_get_argparse_usage_errors(capsys, argv, phrase):
@@ -698,6 +802,48 @@ def test_bad_arguments_get_argparse_usage_errors(capsys, argv, phrase):
     assert err.startswith("usage: sortlab ")
     assert phrase in err
     assert len(err) < 500
+
+
+def leaves_out_trace_and_help(token: str) -> bool:
+    # --trace writes a file and --help refuses nothing, and so do their abbreviations.
+    name = token.split("=")[0]
+    abbreviates = len(name) >= 3 and ("--trace".startswith(name) or "--help".startswith(name))
+    return not token.startswith("-h") and not abbreviates
+
+
+# Tokens a shell might pass: the subcommands, every option name and abbreviation argparse takes, alone or
+# with "=TEXT", and any text.
+OPTIONS = ("--algo", "--input", "--checks", "--n-max", "--samples", "--seed", "--sizes", "--reps", "--format")
+NAMES = st.sampled_from(sorted({name[:k] for name in OPTIONS for k in range(3, len(name) + 1)}))
+ARGV_TOKENS = st.one_of(
+    st.sampled_from(("sort", "verify", "bench")),
+    NAMES,
+    st.tuples(NAMES, st.text(max_size=1200)).map("=".join),
+    st.text(max_size=1200),
+).filter(leaves_out_trace_and_help)
+
+
+@pytest.fixture(scope="module")
+def empty_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("empty")
+
+
+@given(st.lists(ARGV_TOKENS, max_size=5))
+def test_every_refusal_is_short_and_printable(empty_dir, argv):
+    # sort runs whole, where no file can be named by chance; verify and bench are only parsed, as they run long.
+    err = io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(empty_dir)
+    try:
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            try:
+                code = main(argv) if build_parser().parse_args(argv).command == "sort" else 0
+            except SystemExit as exc:
+                code = exc.code
+    finally:
+        os.chdir(cwd)
+    if code == 2:
+        assert follows_the_refusal_rule(err.getvalue()), err.getvalue()
 
 
 @pytest.mark.parametrize("n_max", ["0", "9", "-2"])
