@@ -24,7 +24,7 @@ import time
 from contextlib import nullcontext
 from dataclasses import asdict, astuple, dataclass, fields
 from functools import lru_cache, partial
-from itertools import chain, product
+from itertools import chain, product, zip_longest
 from pathlib import Path
 from statistics import fmean
 from typing import Callable, Iterable, Iterator, Optional, Sequence
@@ -49,15 +49,23 @@ from .sortcore import (
     TraceEvent,
     icbics_sort,
 )
+from .network import lift, prove_lemma1, prove_pi
 from .verify import (
     CHECK_IDS,
     VerificationVerdict,
     _check_replay,
-    check_lemma1,  # with check_pi_invariant, unused here but wrapped in sortlab.cli by perfbench/layers.py
+    check_lemma1,
     check_pi_invariant,
     check_theorem_bounds,
     find_instability_witness,
 )
+
+# pi and lemma1 replay a traced run of every permutation up to this length, or --n-max if
+# lower, which checks the kernel itself, data-dependent faults included.
+SWEEP_N_MAX = 6
+# Past it each is proved on the kernel's comparator network at every length up to its reach.
+# Lemma 1's proof holds 2·3ⁿ bits per cell, so its reach is set by verify's peak memory.
+PROOF_N_MAX = {"pi": 16, "lemma1": 10}
 
 # Length of the random permutations drawn when verify is given
 # --samples; large enough that the bounds are not trivially loose,
@@ -88,7 +96,10 @@ def _read_int(text: str) -> int:
     # Here and in every reader, only ASCII whitespace pads a value.
     if re.fullmatch(r"[+-]?[0-9]+", text.strip(string.whitespace)) is None:
         raise ValueError(f"not a decimal integer: {_shown(text)}")
-    return int(text)
+    try:
+        return int(text)
+    except ValueError:  # past Python's limit on the digits int() reads
+        raise ValueError(f"more than {sys.get_int_max_str_digits()} digits: {_shown(text)}") from None
 
 
 def parse_int_values(text: str) -> list[int]:
@@ -292,6 +303,40 @@ def _sweep(
     return verdicts
 
 
+def _compares(values: Sequence[int]) -> list[tuple[int, int, str]]:
+    # The comparators of the installed icbics_sort's traced run on ``values``, as (i, j, phase).
+    events = []
+    icbics_sort(values, events.append)
+    return [(event.i, event.j, event.phase) for event in events if event.kind == KIND_COMPARE]
+
+
+def _prove(claim: str, swept: VerificationVerdict, swept_n: int) -> VerificationVerdict:
+    # ``swept``, the passing sweep of ``claim`` through length ``swept_n``, extended by a proof at
+    # each length up to the claim's reach on the installed icbics_sort's compares on 1..n, which its
+    # compares on n..1 must equal, or the kernel compares by its data.  The lists are made again for
+    # each claim and dropped after each length: holding them would raise verify's peak memory.
+    # A failing word is lifted to a permutation, and the claim's own check run on that.
+    prover, check = (prove_pi, check_pi_invariant) if claim == "pi" else (prove_lemma1, check_lemma1)
+    words = "0/1" if claim == "pi" else "0/1/2"
+    method = f"0-1 principle: all {words} words, on the kernel's network"
+    details = {**swept.details, "swept_n": swept_n, "method": method}
+    for n in range(1, PROOF_N_MAX[claim] + 1):
+        details["proved_n"] = n - 1
+        ascending, descending = _compares(range(1, n + 1)), _compares(range(n, 0, -1))
+        if ascending != descending:
+            k, (on_ascending, on_descending) = next(
+                (k, pair) for k, pair in enumerate(zip_longest(ascending, descending)) if pair[0] != pair[1]
+            )
+            counterexample = {"n": n, "compare": k + 1, "on_ascending": on_ascending, "on_descending": on_descending}
+            return VerificationVerdict(False, counterexample, details)
+        if (word := prover(ascending, n)) is not None:
+            values = lift(word)
+            counterexample = check(values).counterexample or {"n": n, "word": word, "lifted": values}
+            return VerificationVerdict(False, counterexample, details)
+    details["proved_n"] = PROOF_N_MAX[claim]
+    return VerificationVerdict(True, details=details)
+
+
 def _survey_failure(check_id: str, summary: OracleSummary, examined: int) -> Optional[VerificationVerdict]:
     # The failing verdict for the survey's first input that failed this check, with its
     # counterexample made again, or None; ``examined`` counts the inputs surveyed before.
@@ -382,7 +427,7 @@ def _verify_instability(n_max: int, survey: Survey) -> VerificationVerdict:
     return VerificationVerdict(True, details={"searched_up_to": limit, "witness": asdict(witness)})
 
 
-# One entry per check id but pi and lemma1, which share one _sweep of _check_replay:
+# One entry per check id but pi and lemma1, which share one _sweep of _check_replay and _prove:
 # called with --n-max and the run's cached exhaustive survey.
 _CHECKS = {
     "correctness": _verify_correctness,
@@ -394,11 +439,14 @@ _CHECKS = {
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    # theorem2-4 read one exhaustive survey per n, made once per run.  pi and lemma1
-    # come from one sweep over the selected ones, made here; none runs if neither is selected.
+    # theorem2-4 read one exhaustive survey per n, made once per run.  pi and lemma1 come from
+    # one sweep over the selected ones, made here, then a proof of each that passed; none runs
+    # if neither is selected.
     survey = lru_cache(maxsize=None)(exhaustive_summary)
-    permutations = chain.from_iterable(enumerate_permutations(n) for n in range(1, args.n_max + 1))
+    swept_n = min(args.n_max, SWEEP_N_MAX)
+    permutations = chain.from_iterable(enumerate_permutations(n) for n in range(1, swept_n + 1))
     replayed = _sweep(_check_replay, tuple(c for c in ("pi", "lemma1") if c in args.checks), permutations)
+    replayed = {claim: _prove(claim, v, swept_n) if v.passed else v for claim, v in replayed.items()}
     results = {}
     all_passed = True
     for check_id in args.checks:

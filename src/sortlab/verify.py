@@ -6,9 +6,10 @@ pass, the +1/-1 inversion delta of every swap, the closed-form swap
 bounds, or (by search over tagged inputs) the fact that the sort is
 not stable.  The first two, ``pi`` and ``lemma1``, share one observer
 that replays each swap once and checks either claim or both on the same
-traced run.  ``sortlab verify`` sweeps the permutations with it, each
-sorted once for whichever of the two are still open; a claim stays open
-until its first violation.  Checks return a :class:`VerificationVerdict`;
+traced run.  ``sortlab verify`` sweeps the permutations up to n = 6 with
+it, each sorted once for whichever of the two are still open; a claim
+stays open until its first violation, and one that passes is then proved
+at larger n on the kernel's comparator network (``sortlab.network``).  Checks return a :class:`VerificationVerdict`;
 a failing verdict always carries a replayable counterexample.  ``sortlab
 verify`` reports each check's whole sweep as one verdict too, with what
 the sweep covered (inputs examined, per-n extremes) in its ``details``.

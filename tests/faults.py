@@ -71,6 +71,28 @@ def mutant(compares=lambda n, i, j: True, swaps_when=lambda x, y: x < y, label=l
     return sort
 
 
+# icbics_sort with comparators dropped, by name.  Each compares in an order set by n alone.
+COMPARATOR_EDITS = {
+    "drop-comparator-n-1": mutant(compares=lambda n, i, j: (i, j) != (n, 1)),
+    "drop-comparator-2-1": mutant(compares=lambda n, i, j: (i, j) != (2, 1)),
+    "drop-comparator-1-2": mutant(compares=lambda n, i, j: (i, j) != (1, 2)),
+    "drop-comparator-1-n": mutant(compares=lambda n, i, j: (i, j) != (1, n)),
+    "skip-self-comparisons": mutant(compares=lambda n, i, j: i != j),
+    "skip-j-n-after-pass-1": mutant(compares=lambda n, i, j: i == 1 or j != n),
+}
+
+
+def dropping_7_1(when):
+    """``icbics_sort`` whose compare order depends on the data at n = 7 alone: there it
+    drops comparator (7, 1) from the run on each input ``v``, a tuple, where ``when(v)``."""
+
+    def sort(values, observer=None):
+        drop = len(values) == 7 and when(tuple(values))
+        return mutant(compares=lambda n, i, j: not drop or (i, j) != (7, 1))(values, observer)
+
+    return sort
+
+
 def edited(edit):
     """``icbics_sort`` whose report on each input is ``edit(values,
     report)``, ``values`` given as a tuple.  The trace is the real one."""

@@ -20,7 +20,7 @@ import subprocess
 import sys
 import tracemalloc
 from dataclasses import asdict
-from itertools import product
+from itertools import permutations, product
 from pathlib import Path
 
 import pytest
@@ -192,9 +192,9 @@ def test_sort_file_input_comma_format(tmp_path, capsys):
     assert json.loads(out)["output"] == [1, 2, 3, 4, 5]
 
 
-def long_x(prefix: str, length: int) -> str:
-    # A message that echoes many "x", cut at 200 characters, then the whole message's length.
-    return prefix + "x" * (200 - len(prefix)) + f"... ({length} characters)"
+def long_x(prefix: str, length: int, fill: str = "x") -> str:
+    # A message that echoes many "x", or ``fill``, cut at 200 characters, then the whole message's length.
+    return prefix + fill * (200 - len(prefix)) + f"... ({length} characters)"
 
 
 def neither(shown: str, token: str) -> str:
@@ -216,6 +216,11 @@ def neither(shown: str, token: str) -> str:
         pytest.param("no/such/file.txt", neither("'no/such/file.txt'", "'no/such/file.txt'"), id="missing-file"),
         pytest.param(
             "x" * 300, long_x("cannot read input: not a decimal integer: '", 587), id="echo-cut-at-200-characters"
+        ),
+        pytest.param(
+            "1" * 5000,
+            long_x(f"cannot read input: more than {sys.get_int_max_str_digits()} digits: '", 5288, fill="1"),
+            id="past-the-limit-on-digits",
         ),
         pytest.param(
             "1\t2",
@@ -1009,24 +1014,27 @@ def test_verify_sorts_each_permutation_once(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "checks, expected",
+    "checks, reaches",
     [
-        ([], 873),
-        (["--checks", "pi,lemma1"], 873),
-        (["--checks", "pi"], 873),
-        (["--checks", "lemma1"], 873),
-        (["--checks", "correctness,theorem2,theorem3,theorem4,instability"], 0),
+        ([], (16, 10)),
+        (["--checks", "pi,lemma1"], (16, 10)),
+        (["--checks", "pi"], (16,)),
+        (["--checks", "lemma1"], (10,)),
+        (["--checks", "correctness,theorem2,theorem3,theorem4,instability"], ()),
     ],
     ids=[f"checks{k}" for k in range(5)],
 )
-def test_verify_pi_and_lemma1_share_one_traced_sort_per_permutation(capsys, monkeypatch, checks, expected):
+def test_verify_pi_and_lemma1_share_one_traced_sort_per_permutation(capsys, monkeypatch, checks, reaches):
     traced = []
     faults.install(monkeypatch, faults.counted([], traced))
     rc, _, _ = run(capsys, "verify", "--n-max", "6", *checks)
     assert rc == 0
-    # 1! + 2! + ... + 6! permutations, each sorted once with an observer;
-    # none when neither pi nor lemma1 is selected.
-    assert len(traced) == len(set(traced)) == expected
+    # The 1! + 2! + ... + 6! = 873 permutations, each sorted once with an observer, then 1..n and
+    # n..1 for each claim's network at every length its proof reaches; none when neither pi nor
+    # lemma1 is selected.
+    swept = [values for n in range(1, 7) for values in permutations(range(1, n + 1))] if reaches else []
+    ends = [tuple(v) for reach in reaches for n in range(1, reach + 1) for v in (range(1, n + 1), range(n, 0, -1))]
+    assert sorted(traced) == sorted(swept + ends)
 
 
 def pi_failure(values, outer, expected, observed):
@@ -1076,7 +1084,16 @@ PREFIX = "non-decreasing prefix"
         pytest.param(
             {(2, 4, 1, 3): faults.drop_last_swap},
             failed(pi_failure((2, 4, 1, 3), 4, PREFIX, [1, 2, 4, 3]), 20),
-            {"passed": True, "counterexample": None, "details": {"inputs_examined": 153}},
+            {
+                "passed": True,
+                "counterexample": None,
+                "details": {
+                    "inputs_examined": 153,
+                    "swept_n": 5,
+                    "method": "0-1 principle: all 0/1/2 words, on the kernel's network",
+                    "proved_n": 10,
+                },
+            },
             id="pi-alone-fails",
         ),
     ],

@@ -62,12 +62,12 @@ def failing(payload):
     [
         pytest.param(mutant(), set(), id="identity-control"),
         pytest.param(
-            mutant(compares=lambda n, i, j: (i, j) != (n, 1)),
+            faults.COMPARATOR_EDITS["drop-comparator-n-1"],
             {"correctness", "pi", "random_suite"} | THEOREMS,
             id="drop-comparator-n-1",
         ),
         pytest.param(
-            mutant(compares=lambda n, i, j: (i, j) != (2, 1)),
+            faults.COMPARATOR_EDITS["drop-comparator-2-1"],
             {"correctness", "pi", "lemma1"} | THEOREMS,
             id="drop-comparator-2-1",
         ),
@@ -93,7 +93,7 @@ def test_verify_fails_exactly_the_checks_a_mutant_breaks(monkeypatch, capsys, so
 def test_theorem3_reports_an_untight_sorted_input_per_n(monkeypatch, capsys):
     # Dropping comparator (2, 1) leaves every input inside theorem3's bound, but the
     # sorted input of length 2 costs one swap, not 2(n - 1) = 2.
-    drop_2_1 = mutant(compares=lambda n, i, j: (i, j) != (2, 1))
+    drop_2_1 = faults.COMPARATOR_EDITS["drop-comparator-2-1"]
     rc, payload = verify_under(monkeypatch, capsys, drop_2_1, ("--n-max", "5", "--checks", "theorem3"))
     assert rc == 1
     assert payload["checks"]["theorem3"] == {
@@ -114,17 +114,51 @@ def test_instability_fails_when_the_witness_search_sorts_stably(monkeypatch, cap
     }
 
 
+def proved(words, proved_n):
+    method = f"0-1 principle: all {words} words, on the kernel's network"
+    return {"inputs_examined": 873, "swept_n": 6, "method": method, "proved_n": proved_n}
+
+
+# At n = 7, comparator (7, 1) is the 43rd, after six passes of 7.
+COMPARES_DIFFER = {"n": 7, "compare": 43, "on_ascending": [7, 1, "insertion"], "on_descending": [7, 2, "insertion"]}
+
+
+@pytest.mark.parametrize(
+    "when, pi, lemma1",
+    [
+        pytest.param(
+            lambda v: v[0] > v[-1],
+            {"passed": False, "counterexample": COMPARES_DIFFER, "details": proved("0/1", 6)},
+            {"passed": False, "counterexample": COMPARES_DIFFER, "details": proved("0/1/2", 6)},
+            id="compares-differ-on-1..n-and-n..1",
+        ),
+        pytest.param(
+            # The network lacks (7, 1), which breaks pi but not lemma1; the kernel makes it on
+            # the lifted input, so pi's check passes there and the word is reported.
+            lambda v: v in (tuple(range(1, 8)), tuple(range(7, 0, -1))),
+            {
+                "passed": False,
+                "counterexample": {"n": 7, "word": [1, 1, 1, 1, 1, 1, 0], "lifted": [2, 3, 4, 5, 6, 7, 1]},
+                "details": proved("0/1", 6),
+            },
+            {"passed": True, "counterexample": None, "details": proved("0/1/2", 10)},
+            id="compares-differ-on-the-lifted-input",
+        ),
+    ],
+)
+def test_verify_fails_a_kernel_whose_compares_depend_on_the_data_past_the_sweep(monkeypatch, capsys, when, pi, lemma1):
+    # The fault is icbics_sort at every n but 7, so the sweep through n = 6 passes it.
+    argv = ("--n-max", "8", "--checks", "pi,lemma1")
+    rc, payload = verify_under(monkeypatch, capsys, faults.dropping_7_1(when), argv)
+    assert rc == 1
+    assert payload["checks"] == {"pi": pi, "lemma1": lemma1}
+
+
 @pytest.mark.xfail(
     strict=True,
     reason="ROADMAP item 4: verify makes no claim about comparisons, so a comparison that never swaps can go",
 )
-@pytest.mark.parametrize(
-    "sort",
-    [
-        pytest.param(mutant(compares=lambda n, i, j: i != j), id="skip-self-comparisons"),
-        pytest.param(mutant(compares=lambda n, i, j: i == 1 or j != n), id="skip-j-n-after-pass-1"),
-    ],
-)
-def test_verify_fails_a_mutant_that_drops_a_comparison(monkeypatch, capsys, sort):
-    rc, _ = verify_under(monkeypatch, capsys, sort)
+@pytest.mark.parametrize("edit", ["skip-self-comparisons", "skip-j-n-after-pass-1"])
+def test_verify_fails_a_mutant_that_drops_a_comparison(monkeypatch, capsys, edit):
+    rc, _ = verify_under(monkeypatch, capsys, faults.COMPARATOR_EDITS[edit])
     assert rc == 1
