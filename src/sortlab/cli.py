@@ -66,6 +66,10 @@ SWEEP_N_MAX = 6
 # Past it each is proved on the kernel's comparator network at every length up to its reach.
 # Lemma 1's proof holds 2·3ⁿ bits per cell, so its reach is set by verify's peak memory.
 PROOF_N_MAX = {"pi": 16, "lemma1": 10}
+# The proof speaks for the kernel only if it makes one list of compares at each length.  Past
+# the sweep, the claims and that list are checked on traced runs of 1..n, n..1 and this many
+# permutations drawn with --seed.
+TIE_SAMPLES = 100
 
 # Length of the random permutations drawn when verify is given
 # --samples; large enough that the bounds are not trivially loose,
@@ -303,38 +307,70 @@ def _sweep(
     return verdicts
 
 
-def _compares(values: Sequence[int]) -> list[tuple[int, int, str]]:
-    # The comparators of the installed icbics_sort's traced run on ``values``, as (i, j, phase).
-    events = []
-    icbics_sort(values, events.append)
-    return [(event.i, event.j, event.phase) for event in events if event.kind == KIND_COMPARE]
+# Each proof by claim: its prover, the claim's own check (names resolve when called), and the
+# alphabet of the words it runs.
+_PROOFS = {
+    "pi": (prove_pi, lambda values: check_pi_invariant(values), "0/1"),
+    "lemma1": (prove_lemma1, lambda values: check_lemma1(values), "0/1/2"),
+}
 
 
-def _prove(claim: str, swept: VerificationVerdict, swept_n: int) -> VerificationVerdict:
-    # ``swept``, the passing sweep of ``claim`` through length ``swept_n``, extended by a proof at
-    # each length up to the claim's reach on the installed icbics_sort's compares on 1..n, which its
-    # compares on n..1 must equal, or the kernel compares by its data.  The lists are made again for
-    # each claim and dropped after each length: holding them would raise verify's peak memory.
-    # A failing word is lifted to a permutation, and the claim's own check run on that.
-    prover, check = (prove_pi, check_pi_invariant) if claim == "pi" else (prove_lemma1, check_lemma1)
-    words = "0/1" if claim == "pi" else "0/1/2"
-    method = f"0-1 principle: all {words} words, on the kernel's network"
-    details = {**swept.details, "swept_n": swept_n, "method": method}
-    for n in range(1, PROOF_N_MAX[claim] + 1):
-        details["proved_n"] = n - 1
-        ascending, descending = _compares(range(1, n + 1)), _compares(range(n, 0, -1))
-        if ascending != descending:
-            k, (on_ascending, on_descending) = next(
-                (k, pair) for k, pair in enumerate(zip_longest(ascending, descending)) if pair[0] != pair[1]
-            )
-            counterexample = {"n": n, "compare": k + 1, "on_ascending": on_ascending, "on_descending": on_descending}
-            return VerificationVerdict(False, counterexample, details)
-        if (word := prover(ascending, n)) is not None:
-            values = lift(word)
-            counterexample = check(values).counterexample or {"n": n, "word": word, "lifted": values}
-            return VerificationVerdict(False, counterexample, details)
-    details["proved_n"] = PROOF_N_MAX[claim]
-    return VerificationVerdict(True, details=details)
+def _tie(values: Sequence[int], claims: tuple[str, ...], network: list) -> dict[str, dict]:
+    # The counterexample of each claim that the installed icbics_sort's traced run on ``values``
+    # fails, by its replay or else, for every claim, by a compare that leaves ``network``.
+    compares = []
+    failures = _check_replay(values, claims, compares)
+    if compares == network:
+        return failures
+    k, (expected, observed) = next(
+        (k, pair) for k, pair in enumerate(zip_longest(network, compares)) if pair[0] != pair[1]
+    )
+    differ = {"input": list(values), "compare": k + 1, "expected": expected, "observed": observed}
+    return {**dict.fromkeys(claims, differ), **failures}
+
+
+def _prove(swept: dict[str, VerificationVerdict], swept_n: int, seed: int) -> dict[str, VerificationVerdict]:
+    # ``swept``'s verdicts, each that passed the sweep through length ``swept_n`` extended by a
+    # proof at each length up to its claim's reach, on the compares of the installed icbics_sort's
+    # run on 1..n, tied to the kernel by _tie on n..1 and, past ``swept_n``, on permutations drawn
+    # with ``seed``.  At each length one traced run per input serves every open claim, and the
+    # lists are dropped after it: holding them would raise verify's peak memory.
+    rng = random.Random(seed)
+    verdicts = dict(swept)
+    assumes = (
+        "one list of compares per length; past swept_n, each claim and that list are checked on the"
+        f" kernel's runs on 1..n, n..1 and {TIE_SAMPLES} seeded permutations"
+    )
+
+    def details(claim: str, proved_n: int) -> dict:
+        method = f"0-1 principle: all {_PROOFS[claim][2]} words, on the kernel's network"
+        return {**swept[claim].details, "swept_n": swept_n, "method": method, "assumes": assumes, "proved_n": proved_n}
+
+    open_claims = [claim for claim, verdict in swept.items() if verdict.passed]
+    for n in range(1, max(PROOF_N_MAX.values()) + 1):
+        claims = tuple(claim for claim in open_claims if n <= PROOF_N_MAX[claim])
+        if not claims:
+            break
+        network = []
+        failures = _check_replay(range(1, n + 1), claims, network)
+        drawn = (rng.sample(range(1, n + 1), n) for _ in range(TIE_SAMPLES if n > swept_n else 0))
+        for values in chain([range(n, 0, -1)], drawn):
+            unfailed = tuple(claim for claim in claims if claim not in failures)
+            if not unfailed:
+                break
+            failures.update(_tie(values, unfailed, network))
+        for claim in claims:
+            prover, check, _ = _PROOFS[claim]
+            if claim not in failures and (word := prover(network, n)) is not None:
+                # Lifted, the word fails the claim's check, unless the kernel leaves its network there.
+                values = lift(word)
+                failures[claim] = check(values).counterexample or {"n": n, "word": word, "lifted": values}
+        for claim, counterexample in failures.items():
+            verdicts[claim] = VerificationVerdict(False, counterexample, details(claim, n - 1))
+            open_claims.remove(claim)
+    for claim in open_claims:
+        verdicts[claim] = VerificationVerdict(True, details=details(claim, PROOF_N_MAX[claim]))
+    return verdicts
 
 
 def _survey_failure(check_id: str, summary: OracleSummary, examined: int) -> Optional[VerificationVerdict]:
@@ -440,13 +476,13 @@ _CHECKS = {
 
 def cmd_verify(args: argparse.Namespace) -> int:
     # theorem2-4 read one exhaustive survey per n, made once per run.  pi and lemma1 come from
-    # one sweep over the selected ones, made here, then a proof of each that passed; none runs
-    # if neither is selected.
+    # one sweep over the selected ones, made here, then one proof run for those that passed;
+    # neither runs if neither is selected.
     survey = lru_cache(maxsize=None)(exhaustive_summary)
     swept_n = min(args.n_max, SWEEP_N_MAX)
     permutations = chain.from_iterable(enumerate_permutations(n) for n in range(1, swept_n + 1))
     replayed = _sweep(_check_replay, tuple(c for c in ("pi", "lemma1") if c in args.checks), permutations)
-    replayed = {claim: _prove(claim, v, swept_n) if v.passed else v for claim, v in replayed.items()}
+    replayed = _prove(replayed, swept_n, args.seed)
     results = {}
     all_passed = True
     for check_id in args.checks:
@@ -658,8 +694,9 @@ def build_parser() -> argparse.ArgumentParser:
         dest="n_max",
         type=_int_range(1, EXHAUSTIVE_CAP),
         default=7,
-        help=f"exhaustive checks cover every permutation up to this length, 1..{EXHAUSTIVE_CAP} "
-        "(default: %(default)s)",
+        help=f"correctness and theorem2-theorem4 check every permutation up to this length, 1..{EXHAUSTIVE_CAP}; "
+        f"pi and lemma1 check every one up to at most {SWEEP_N_MAX}, then are proved on the kernel's comparator "
+        "network (default: %(default)s)",
     )
     p_verify.add_argument(
         "--samples",
@@ -668,7 +705,13 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"additionally check order and bounds on this many seeded random permutations of 1..{RANDOM_SUITE_N} "
         "(default: %(default)s)",
     )
-    p_verify.add_argument("--seed", type=_int_range(), default=0, help="seed for --samples (default: %(default)s)")
+    p_verify.add_argument(
+        "--seed",
+        type=_int_range(),
+        default=0,
+        help="seed for --samples and for the permutations drawn to tie pi's and lemma1's proofs to the kernel "
+        "(default: %(default)s)",
+    )
     p_verify.set_defaults(handler=cmd_verify)
 
     p_bench = sub.add_parser("bench", help="time every algorithm and emit per-run records")

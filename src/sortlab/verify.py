@@ -61,9 +61,10 @@ def _require_distinct(values: Sequence, check_id: str) -> None:
         raise ValueError(f"{check_id} check requires distinct elements, got duplicates: {list(values)!r}")
 
 
-def _check_replay(values: Sequence[int], claims: tuple[str, ...]) -> dict[str, dict]:
+def _check_replay(values: Sequence[int], claims: tuple[str, ...], compares: Optional[list] = None) -> dict[str, dict]:
     """Sort ``values`` once, traced, and check each claim in ``claims``
-    ("pi", "lemma1", or both) on that one run.
+    ("pi", "lemma1", or both) on that one run; if ``compares`` is given,
+    append to it each compare event's ``(i, j, phase)``.
 
     One observer replays each swap as it arrives.  Before applying a
     swap it checks Lemma 1 on it; whenever the outer position ``i`` of
@@ -113,6 +114,8 @@ def _check_replay(values: Sequence[int], claims: tuple[str, ...]) -> dict[str, d
                         "observed": observed,
                     }
             work[i], work[j] = work[j], work[i]
+        elif compares is not None:
+            compares.append((event.i, event.j, event.phase))
 
     icbics_sort(values, observe)
     check_boundary(current)

@@ -82,13 +82,13 @@ COMPARATOR_EDITS = {
 }
 
 
-def dropping_7_1(when):
-    """``icbics_sort`` whose compare order depends on the data at n = 7 alone: there it
-    drops comparator (7, 1) from the run on each input ``v``, a tuple, where ``when(v)``."""
+def at_length(n, when, fault):
+    """``icbics_sort`` but on each input ``v`` of length ``n``, a tuple, where ``when(v)``:
+    there ``fault`` sorts it."""
 
     def sort(values, observer=None):
-        drop = len(values) == 7 and when(tuple(values))
-        return mutant(compares=lambda n, i, j: not drop or (i, j) != (7, 1))(values, observer)
+        faulty = len(values) == n and when(tuple(values))
+        return (fault if faulty else icbics_sort)(values, observer)
 
     return sort
 

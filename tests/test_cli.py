@@ -19,6 +19,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+from collections import Counter
 from dataclasses import asdict
 from itertools import permutations, product
 from pathlib import Path
@@ -1014,27 +1015,30 @@ def test_verify_sorts_each_permutation_once(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "checks, reaches",
+    "checks, reach",
     [
-        ([], (16, 10)),
-        (["--checks", "pi,lemma1"], (16, 10)),
-        (["--checks", "pi"], (16,)),
-        (["--checks", "lemma1"], (10,)),
-        (["--checks", "correctness,theorem2,theorem3,theorem4,instability"], ()),
+        ([], 16),
+        (["--checks", "pi,lemma1"], 16),
+        (["--checks", "pi"], 16),
+        (["--checks", "lemma1"], 10),
+        (["--checks", "correctness,theorem2,theorem3,theorem4,instability"], 0),
     ],
     ids=[f"checks{k}" for k in range(5)],
 )
-def test_verify_pi_and_lemma1_share_one_traced_sort_per_permutation(capsys, monkeypatch, checks, reaches):
+def test_verify_pi_and_lemma1_share_one_traced_sort_per_permutation(capsys, monkeypatch, checks, reach):
     traced = []
     faults.install(monkeypatch, faults.counted([], traced))
     rc, _, _ = run(capsys, "verify", "--n-max", "6", *checks)
     assert rc == 0
-    # The 1! + 2! + ... + 6! = 873 permutations, each sorted once with an observer, then 1..n and
-    # n..1 for each claim's network at every length its proof reaches; none when neither pi nor
-    # lemma1 is selected.
-    swept = [values for n in range(1, 7) for values in permutations(range(1, n + 1))] if reaches else []
-    ends = [tuple(v) for reach in reaches for n in range(1, reach + 1) for v in (range(1, n + 1), range(n, 0, -1))]
-    assert sorted(traced) == sorted(swept + ends)
+    # The 1! + 2! + ... + 6! = 873 permutations, each sorted once with an observer; then, at every
+    # length the proofs reach, 1..n and n..1 once each, and past 6 the drawn permutations, whichever
+    # claims are open; none when neither pi nor lemma1 is selected.
+    swept = [values for n in range(1, 7) for values in permutations(range(1, n + 1))] if reach else []
+    ends = [tuple(v) for n in range(1, reach + 1) for v in (range(1, n + 1), range(n, 0, -1))]
+    drawn = Counter(traced) - Counter(swept + ends)
+    assert Counter(traced) - drawn == Counter(swept + ends)
+    assert sorted(map(len, drawn.elements())) == [n for n in range(7, reach + 1) for _ in range(cli.TIE_SAMPLES)]
+    assert all(sorted(values) == list(range(1, len(values) + 1)) for values in drawn)
 
 
 def pi_failure(values, outer, expected, observed):
@@ -1091,6 +1095,8 @@ PREFIX = "non-decreasing prefix"
                     "inputs_examined": 153,
                     "swept_n": 5,
                     "method": "0-1 principle: all 0/1/2 words, on the kernel's network",
+                    "assumes": "one list of compares per length; past swept_n, each claim and that list are checked"
+                    " on the kernel's runs on 1..n, n..1 and 100 seeded permutations",
                     "proved_n": 10,
                 },
             },

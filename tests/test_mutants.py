@@ -114,44 +114,72 @@ def test_instability_fails_when_the_witness_search_sorts_stably(monkeypatch, cap
     }
 
 
-def proved(words, proved_n):
+def proved(claim, proved_n):
+    words = {"pi": "0/1", "lemma1": "0/1/2"}[claim]
     method = f"0-1 principle: all {words} words, on the kernel's network"
-    return {"inputs_examined": 873, "swept_n": 6, "method": method, "proved_n": proved_n}
+    assumes = (
+        "one list of compares per length; past swept_n, each claim and that list are checked on the"
+        " kernel's runs on 1..n, n..1 and 100 seeded permutations"
+    )
+    return {"inputs_examined": 873, "swept_n": 6, "method": method, "assumes": assumes, "proved_n": proved_n}
 
 
-# At n = 7, comparator (7, 1) is the 43rd, after six passes of 7.
-COMPARES_DIFFER = {"n": 7, "compare": 43, "on_ascending": [7, 1, "insertion"], "on_descending": [7, 2, "insertion"]}
+DROP_7_1 = mutant(compares=lambda n, i, j: (i, j) != (7, 1))
+ENDS_7 = (tuple(range(1, 8)), tuple(range(7, 0, -1)))
+# At n = 7, comparator (7, 1) is the 43rd, after six passes of 7; without it the 43rd is (7, 2).
+MISSING_7_1 = {"compare": 43, "expected": [7, 1, PHASE_INSERTION], "observed": [7, 2, PHASE_INSERTION]}
+
+
+def unsorted_at_7(values, observed):
+    return {"input": values, "outer": 7, "expected": "non-decreasing prefix", "observed": observed}
 
 
 @pytest.mark.parametrize(
-    "when, pi, lemma1",
+    "fault, pi, lemma1",
     [
         pytest.param(
-            lambda v: v[0] > v[-1],
-            {"passed": False, "counterexample": COMPARES_DIFFER, "details": proved("0/1", 6)},
-            {"passed": False, "counterexample": COMPARES_DIFFER, "details": proved("0/1/2", 6)},
-            id="compares-differ-on-1..n-and-n..1",
+            # 1..7 and 7..1 start odd, so they agree on the network; a drawn input shows the fault.
+            faults.at_length(7, lambda v: v[0] % 2 == 0, DROP_7_1),
+            unsorted_at_7([4, 3, 5, 2, 6, 7, 1], [2, 1, 3, 4, 5, 6, 7]),
+            {"input": [4, 3, 5, 2, 6, 7, 1], **MISSING_7_1},
+            id="drop-7-1-when-the-first-value-is-even",
         ),
         pytest.param(
-            # The network lacks (7, 1), which breaks pi but not lemma1; the kernel makes it on
-            # the lifted input, so pi's check passes there and the word is reported.
-            lambda v: v in (tuple(range(1, 8)), tuple(range(7, 0, -1))),
+            # The network of 1..7 lacks (7, 1), as does 7..1's run, whose replay fails pi; a drawn
+            # input makes it, which fails lemma1.
+            faults.at_length(7, lambda v: v in ENDS_7, DROP_7_1),
+            unsorted_at_7([7, 6, 5, 4, 3, 2, 1], [2, 1, 3, 4, 5, 6, 7]),
             {
-                "passed": False,
-                "counterexample": {"n": 7, "word": [1, 1, 1, 1, 1, 1, 0], "lifted": [2, 3, 4, 5, 6, 7, 1]},
-                "details": proved("0/1", 6),
+                "input": [7, 4, 6, 1, 2, 3, 5],
+                "compare": 43,
+                "expected": MISSING_7_1["observed"],
+                "observed": MISSING_7_1["expected"],
             },
-            {"passed": True, "counterexample": None, "details": proved("0/1/2", 10)},
-            id="compares-differ-on-the-lifted-input",
+            id="drop-7-1-on-1..7-and-7..1",
+        ),
+        pytest.param(
+            # Its compares are the network's, and its values move as the network's do, but the
+            # replay of 1..7 sees a swap of a cell with itself.
+            faults.at_length(7, lambda v: True, mutant(swaps_when=lambda x, y: not y < x)),
+            None,
+            {"input": [1, 2, 3, 4, 5, 6, 7], "seq": 1, "phase": "selection", "expected": 1, "observed": 0},
+            id="swap-a-cell-with-itself-at-7",
         ),
     ],
 )
-def test_verify_fails_a_kernel_whose_compares_depend_on_the_data_past_the_sweep(monkeypatch, capsys, when, pi, lemma1):
+def test_verify_fails_a_kernel_that_leaves_its_network_past_the_sweep(monkeypatch, capsys, fault, pi, lemma1):
     # The fault is icbics_sort at every n but 7, so the sweep through n = 6 passes it.
     argv = ("--n-max", "8", "--checks", "pi,lemma1")
-    rc, payload = verify_under(monkeypatch, capsys, faults.dropping_7_1(when), argv)
+    rc, payload = verify_under(monkeypatch, capsys, fault, argv)
     assert rc == 1
-    assert payload["checks"] == {"pi": pi, "lemma1": lemma1}
+    for claim, counterexample in {"pi": pi, "lemma1": lemma1}.items():
+        if counterexample is None:
+            expected = {"passed": True, "counterexample": None, "details": proved(claim, cli.PROOF_N_MAX[claim])}
+        else:
+            expected = {"passed": False, "counterexample": counterexample, "details": proved(claim, 6)}
+            if "compare" not in counterexample:
+                assert faults.recheck(claim, counterexample["input"]) == counterexample
+        assert payload["checks"][claim] == expected
 
 
 @pytest.mark.xfail(
