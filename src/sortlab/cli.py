@@ -22,7 +22,7 @@ import string
 import sys
 import time
 from contextlib import nullcontext
-from dataclasses import asdict, astuple, dataclass, fields
+from dataclasses import asdict, astuple, dataclass, fields, replace
 from functools import lru_cache, partial
 from itertools import chain, product, zip_longest
 from pathlib import Path
@@ -60,8 +60,8 @@ from .verify import (
     find_instability_witness,
 )
 
-# pi and lemma1 replay a traced run of every permutation up to this length, or --n-max if
-# lower, which checks the kernel itself, data-dependent faults included.
+# pi and lemma1 replay a traced run of every permutation up to this length, or --n-max if lower,
+# and hold its compares to its length's first run's: this checks the kernel itself, data and all.
 SWEEP_N_MAX = 6
 # Past it each is proved on the kernel's comparator network at every length up to its reach.
 # Lemma 1's proof holds 2·3ⁿ bits per cell, so its reach is set by verify's peak memory.
@@ -168,7 +168,10 @@ def _read_trace(lines: Iterable[str]) -> Iterator[TraceEvent]:
             if match is None:
                 raise ValueError(f"not of the form {_TRACE_LINE.pattern}")
             seq, kind, i, j, phase = match.groups()
-            seq, i, j = int(seq), position(i), position(j)  # int refuses an integer past Python's limit on digits
+            try:
+                seq, i, j = int(seq), position(i), position(j)
+            except ValueError:  # past Python's limit on the digits int() reads
+                raise ValueError(f"more than {sys.get_int_max_str_digits()} digits") from None
             if seq <= last_seq:
                 raise ValueError(f"seq does not rise above {last_seq}")
         except ValueError as err:
@@ -315,11 +318,13 @@ _PROOFS = {
 }
 
 
-def _tie(values: Sequence[int], claims: tuple[str, ...], network: list) -> dict[str, dict]:
+def _tie(values: Sequence[int], claims: tuple[str, ...], networks: dict[int, list]) -> dict[str, dict]:
     # The counterexample of each claim that the installed icbics_sort's traced run on ``values``
-    # fails, by its replay or else, for every claim, by a compare that leaves ``network``.
+    # fails, by its replay or else, for every claim, by a compare that leaves the network of its
+    # length in ``networks``, which the first run of each length sets.
     compares = []
     failures = _check_replay(values, claims, compares)
+    network = networks.setdefault(len(values), compares)
     if compares == network:
         return failures
     k, (expected, observed) = next(
@@ -331,45 +336,37 @@ def _tie(values: Sequence[int], claims: tuple[str, ...], network: list) -> dict[
 
 def _prove(swept: dict[str, VerificationVerdict], swept_n: int, seed: int) -> dict[str, VerificationVerdict]:
     # ``swept``'s verdicts, each that passed the sweep through length ``swept_n`` extended by a
-    # proof at each length up to its claim's reach, on the compares of the installed icbics_sort's
-    # run on 1..n, tied to the kernel by _tie on n..1 and, past ``swept_n``, on permutations drawn
-    # with ``seed``.  At each length one traced run per input serves every open claim, and the
-    # lists are dropped after it: holding them would raise verify's peak memory.
+    # proof at each longer length up to its claim's reach.  At each length one _sweep of _tie over
+    # 1..n, n..1 and permutations drawn with ``seed`` checks the open claims and sets the network,
+    # the compares of 1..n, on which each claim still open is then proved.  The network is dropped
+    # after its length: holding every one would raise verify's peak memory.
     rng = random.Random(seed)
     verdicts = dict(swept)
+    # Each claim that passed the sweep, by the length it is proved to: its reach, or the last before it failed.
+    proved_n = {claim: PROOF_N_MAX[claim] for claim, verdict in swept.items() if verdict.passed}
+    for n in range(swept_n + 1, max(PROOF_N_MAX.values()) + 1):
+        claims = tuple(claim for claim, reach in proved_n.items() if n <= reach)
+        networks = {}
+        drawn = (rng.sample(range(1, n + 1), n) for _ in range(TIE_SAMPLES))
+        tied = _sweep(partial(_tie, networks=networks), claims, chain([range(1, n + 1), range(n, 0, -1)], drawn))
+        for claim in claims:
+            prover, check, _ = _PROOFS[claim]
+            counterexample = tied[claim].counterexample
+            if counterexample is None and (word := prover(networks[n], n)) is not None:
+                # Lifted, the word fails the claim's check, unless the kernel leaves its network there.
+                values = lift(word)
+                counterexample = check(values).counterexample or {"n": n, "word": word, "lifted": values}
+            if counterexample is not None:
+                verdicts[claim] = VerificationVerdict(False, counterexample)
+                proved_n[claim] = n - 1
     assumes = (
         "one list of compares per length; past swept_n, each claim and that list are checked on the"
         f" kernel's runs on 1..n, n..1 and {TIE_SAMPLES} seeded permutations"
     )
-
-    def details(claim: str, proved_n: int) -> dict:
+    for claim, reach in proved_n.items():
         method = f"0-1 principle: all {_PROOFS[claim][2]} words, on the kernel's network"
-        return {**swept[claim].details, "swept_n": swept_n, "method": method, "assumes": assumes, "proved_n": proved_n}
-
-    open_claims = [claim for claim, verdict in swept.items() if verdict.passed]
-    for n in range(1, max(PROOF_N_MAX.values()) + 1):
-        claims = tuple(claim for claim in open_claims if n <= PROOF_N_MAX[claim])
-        if not claims:
-            break
-        network = []
-        failures = _check_replay(range(1, n + 1), claims, network)
-        drawn = (rng.sample(range(1, n + 1), n) for _ in range(TIE_SAMPLES if n > swept_n else 0))
-        for values in chain([range(n, 0, -1)], drawn):
-            unfailed = tuple(claim for claim in claims if claim not in failures)
-            if not unfailed:
-                break
-            failures.update(_tie(values, unfailed, network))
-        for claim in claims:
-            prover, check, _ = _PROOFS[claim]
-            if claim not in failures and (word := prover(network, n)) is not None:
-                # Lifted, the word fails the claim's check, unless the kernel leaves its network there.
-                values = lift(word)
-                failures[claim] = check(values).counterexample or {"n": n, "word": word, "lifted": values}
-        for claim, counterexample in failures.items():
-            verdicts[claim] = VerificationVerdict(False, counterexample, details(claim, n - 1))
-            open_claims.remove(claim)
-    for claim in open_claims:
-        verdicts[claim] = VerificationVerdict(True, details=details(claim, PROOF_N_MAX[claim]))
+        details = {**swept[claim].details, "swept_n": swept_n, "method": method, "assumes": assumes, "proved_n": reach}
+        verdicts[claim] = replace(verdicts[claim], details=details)
     return verdicts
 
 
@@ -463,7 +460,7 @@ def _verify_instability(n_max: int, survey: Survey) -> VerificationVerdict:
     return VerificationVerdict(True, details={"searched_up_to": limit, "witness": asdict(witness)})
 
 
-# One entry per check id but pi and lemma1, which share one _sweep of _check_replay and _prove:
+# One entry per check id but pi and lemma1, which share one _sweep of _tie and _prove:
 # called with --n-max and the run's cached exhaustive survey.
 _CHECKS = {
     "correctness": _verify_correctness,
@@ -481,7 +478,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     survey = lru_cache(maxsize=None)(exhaustive_summary)
     swept_n = min(args.n_max, SWEEP_N_MAX)
     permutations = chain.from_iterable(enumerate_permutations(n) for n in range(1, swept_n + 1))
-    replayed = _sweep(_check_replay, tuple(c for c in ("pi", "lemma1") if c in args.checks), permutations)
+    replayed = _sweep(partial(_tie, networks={}), tuple(c for c in ("pi", "lemma1") if c in args.checks), permutations)
     replayed = _prove(replayed, swept_n, args.seed)
     results = {}
     all_passed = True

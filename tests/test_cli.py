@@ -325,6 +325,12 @@ def test_load_trace_rejects_unknown_kind_or_phase(tmp_path, line):
         pytest.param(
             '{"seq": ' + "1" * 5000 + ', "kind": "swap", "i": 1, "j": 2, "phase": "selection"}', id="int-too-long"
         ),
+        pytest.param(
+            '{"seq": 0, "kind": "swap", "i": ' + "1" * 5000 + ', "j": 2, "phase": "selection"}', id="i-too-long"
+        ),
+        pytest.param(
+            '{"seq": 0, "kind": "swap", "i": 1, "j": ' + "2" * 5000 + ', "phase": "selection"}', id="j-too-long"
+        ),
         # Bytes that are not UTF-8, in a kind and in an extra key.
         pytest.param(
             b'{"seq": 0, "kind": "compare", "i": 1, "j": 2, "phase": "selection"}\n'
@@ -375,6 +381,12 @@ def test_load_trace_rejects_malformed_events(tmp_path, text):
     assert str(refused.value).startswith(f"trace line {text.count(newline) + 1}: ")
     assert len(str(refused.value)) < 1024
     assert str(refused.value).isprintable()
+    # Between the two, the reader's own reason: none of Python's passes through.
+    bad_line = trace_path.read_bytes().decode("utf-8", "replace").split("\n")[-2].strip(reference.ASCII_WHITESPACE)
+    head, echo = f"trace line {text.count(newline) + 1}: ", f": {cli._shown(bad_line)}"
+    assert str(refused.value).endswith(echo)
+    reason = str(refused.value)[len(head) : -len(echo)]
+    assert re.fullmatch(r"not of the form .+|seq does not rise above [0-9]+|more than [0-9]+ digits", reason)
     # iter_trace first yields the event of each line before the bad one, then refuses it alike.
     streamed = []
     with pytest.raises(ValueError) as streaming:
@@ -885,7 +897,7 @@ def test_verify_pi_at_n_max_one_is_trivially_green(capsys):
 
 
 def test_verify_failing_check_exits_one(capsys, monkeypatch):
-    def forced_failure(values, claims):
+    def forced_failure(values, claims, compares):
         return {claim: {"input": list(values), "reason": "forced"} for claim in claims}
 
     monkeypatch.setattr(cli, "_check_replay", forced_failure)
@@ -1015,26 +1027,27 @@ def test_verify_sorts_each_permutation_once(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "checks, reach",
+    "checks, reach, runs",
     [
-        ([], 16),
-        (["--checks", "pi,lemma1"], 16),
-        (["--checks", "pi"], 16),
-        (["--checks", "lemma1"], 10),
-        (["--checks", "correctness,theorem2,theorem3,theorem4,instability"], 0),
+        ([], 16, 1893),
+        (["--checks", "pi,lemma1"], 16, 1893),
+        (["--checks", "pi"], 16, 1893),
+        (["--checks", "lemma1"], 10, 1281),
+        (["--checks", "correctness,theorem2,theorem3,theorem4,instability"], 0, 0),
     ],
     ids=[f"checks{k}" for k in range(5)],
 )
-def test_verify_pi_and_lemma1_share_one_traced_sort_per_permutation(capsys, monkeypatch, checks, reach):
+def test_verify_pi_and_lemma1_share_one_traced_sort_per_permutation(capsys, monkeypatch, checks, reach, runs):
     traced = []
     faults.install(monkeypatch, faults.counted([], traced))
     rc, _, _ = run(capsys, "verify", "--n-max", "6", *checks)
     assert rc == 0
     # The 1! + 2! + ... + 6! = 873 permutations, each sorted once with an observer; then, at every
-    # length the proofs reach, 1..n and n..1 once each, and past 6 the drawn permutations, whichever
+    # length past 6 that the proofs reach, 1..n, n..1 and the drawn permutations once each, whichever
     # claims are open; none when neither pi nor lemma1 is selected.
+    assert len(traced) == runs
     swept = [values for n in range(1, 7) for values in permutations(range(1, n + 1))] if reach else []
-    ends = [tuple(v) for n in range(1, reach + 1) for v in (range(1, n + 1), range(n, 0, -1))]
+    ends = [tuple(v) for n in range(7, reach + 1) for v in (range(1, n + 1), range(n, 0, -1))]
     drawn = Counter(traced) - Counter(swept + ends)
     assert Counter(traced) - drawn == Counter(swept + ends)
     assert sorted(map(len, drawn.elements())) == [n for n in range(7, reach + 1) for _ in range(cli.TIE_SAMPLES)]

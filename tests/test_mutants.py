@@ -182,6 +182,33 @@ def test_verify_fails_a_kernel_that_leaves_its_network_past_the_sweep(monkeypatc
         assert payload["checks"][claim] == expected
 
 
+def test_verify_holds_every_swept_permutation_to_its_lengths_network(monkeypatch, capsys):
+    # At n = 5 the fault skips the self-comparisons of inputs that start with 2 alone: neither
+    # 1..5 nor 5..1, so only the sweep's tie of every permutation to 1..5's compares shows it.
+    fault = faults.at_length(5, lambda v: v[0] == 2, faults.COMPARATOR_EDITS["skip-self-comparisons"])
+    rc, payload = verify_under(monkeypatch, capsys, fault, ("--n-max", "6", "--checks", "pi,lemma1"))
+    assert rc == 1
+    # (2, 1, 3, 4, 5) is the 25th permutation of 5, after the 1 + 2 + 6 + 24 shorter ones.
+    differ = {"input": [2, 1, 3, 4, 5], "compare": 1, "expected": [1, 1, "selection"], "observed": [1, 2, "selection"]}
+    verdict = {"passed": False, "counterexample": differ, "details": {"inputs_examined": 58}}
+    assert payload["checks"] == {"pi": verdict, "lemma1": verdict}
+
+
+def test_verify_reports_a_proof_word_the_kernel_does_not_fail(monkeypatch, capsys):
+    # A prover that finds a word at n = 7 on which the real kernel passes pi: the kernel did not
+    # follow the network there, so the verdict shows the word and its lifted input.
+    prover, check, words = cli._PROOFS["pi"]
+    word = [1, 0, 0, 0, 0, 0, 0]
+    monkeypatch.setitem(cli._PROOFS, "pi", (lambda network, n: word if n == 7 else prover(network, n), check, words))
+    rc = cli.main(["verify", "--n-max", "8", "--checks", "pi"])
+    assert rc == 1
+    assert json.loads(capsys.readouterr().out)["checks"]["pi"] == {
+        "passed": False,
+        "counterexample": {"n": 7, "word": word, "lifted": [7, 1, 2, 3, 4, 5, 6]},
+        "details": proved("pi", 6),
+    }
+
+
 @pytest.mark.xfail(
     strict=True,
     reason="ROADMAP item 4: verify makes no claim about comparisons, so a comparison that never swaps can go",

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from sortlab.cli import BENCH_COLUMNS, main
+from sortlab.cli import BENCH_COLUMNS, PROOF_N_MAX, SWEEP_N_MAX, TIE_SAMPLES, main
 from sortlab.verify import CHECK_IDS
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -58,3 +58,12 @@ def test_readme_lists_the_check_ids_and_bench_columns_the_code_has():
     check_ids = re.search(r"Check ids: (.*?) \(", text, re.DOTALL).group(1)
     assert tuple(re.findall(r"`([^`]+)`", check_ids)) == CHECK_IDS
     assert re.search(r"with the header\s+`([^`]+)`", text).group(1) == ",".join(BENCH_COLUMNS)
+
+
+def test_readme_states_the_sweep_reach_and_tie_the_code_has():
+    text = re.sub(r"\s+", " ", README.read_text(encoding="utf-8"))
+    section = text[text.index("## How `pi` and `lemma1` are proved") :]
+    assert int(re.search(r"one traced run of each permutation up to n = (\d+)", section).group(1)) == SWEEP_N_MAX
+    reach = re.search(r"up to n = (\d+) \(`pi`\) and n = (\d+) \(`lemma1`\)", section)
+    assert (int(reach.group(1)), int(reach.group(2))) == (PROOF_N_MAX["pi"], PROOF_N_MAX["lemma1"])
+    assert int(re.search(r"(\d+) permutations drawn with `--seed`", section).group(1)) == TIE_SAMPLES
