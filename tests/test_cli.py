@@ -381,7 +381,7 @@ def test_load_trace_rejects_malformed_events(tmp_path, text):
     assert str(refused.value).startswith(f"trace line {text.count(newline) + 1}: ")
     assert len(str(refused.value)) < 1024
     assert str(refused.value).isprintable()
-    # Between the two, the reader's own reason: none of Python's passes through.
+    # Between that head and the cut echo of the line stands one of the reader's own reasons, never Python's.
     bad_line = trace_path.read_bytes().decode("utf-8", "replace").split("\n")[-2].strip(reference.ASCII_WHITESPACE)
     head, echo = f"trace line {text.count(newline) + 1}: ", f": {cli._shown(bad_line)}"
     assert str(refused.value).endswith(echo)
