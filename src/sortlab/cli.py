@@ -24,10 +24,11 @@ import time
 from contextlib import nullcontext
 from dataclasses import asdict, astuple, dataclass, fields, replace
 from functools import lru_cache, partial
-from itertools import chain, product, zip_longest
+from itertools import chain, product, repeat, zip_longest
+from operator import lt
 from pathlib import Path
 from statistics import fmean
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Generator, Iterable, Iterator, Optional, Sequence
 
 from .metrics import swap_bounds
 from .oracle import (
@@ -147,6 +148,11 @@ _TRACE_LINE = re.compile(
     r'{"seq": (0|[1-9][0-9]*), "kind": "(compare|swap)", "i": ([1-9][0-9]*), "j": ([1-9][0-9]*), '
     r'"phase": "(selection|insertion|not_applicable)"}'
 )
+# The same grammar over a block of whole lines: each match is one line, "\n" and all.
+_TRACE_LINES = re.compile("^" + _TRACE_LINE.pattern + "\n", re.MULTILINE)
+# Characters iter_trace reads ahead per block, before it reads on to the end of a line.  Larger
+# blocks cost less CPU per event and more peak memory; BENCH_block_reader.json has both.
+_BLOCK = 16384
 
 
 def _write_trace_line(write: Callable[[str], object], event: TraceEvent) -> None:
@@ -154,12 +160,13 @@ def _write_trace_line(write: Callable[[str], object], event: TraceEvent) -> None
     write(f'{{"seq": {seq}, "kind": "{kind}", "i": {i}, "j": {j}, "phase": "{phase}"}}\n')
 
 
-def _read_trace(lines: Iterable[str]) -> Iterator[TraceEvent]:
+def _read_trace(
+    lines: Iterable[str], number: int, last_seq: int, position: Callable[[str], int]
+) -> Generator[TraceEvent, None, int]:
     # The one trace reader: each line that is not blank (only ASCII whitespace), stripped, must be
-    # of the grammar with seq above the last event's.
-    last_seq = -1
-    position = lru_cache(maxsize=None)(int)  # one int object per distinct position, for this reader
-    for number, line in enumerate(lines, 1):
+    # of the grammar with seq above the last event's.  Lines are numbered from number + 1, and
+    # position reads i and j; it returns the last seq read.
+    for number, line in enumerate(lines, number + 1):
         line = line.strip(string.whitespace)
         if not line:
             continue
@@ -178,22 +185,54 @@ def _read_trace(lines: Iterable[str]) -> Iterator[TraceEvent]:
             raise ValueError(f"trace line {number}: {err}: {_shown(line)}") from None
         last_seq = seq
         yield tuple.__new__(TraceEvent, (seq, _TRACE_WORDS[kind], i, j, _TRACE_WORDS[phase]))
+    return last_seq
+
+
+def _read_block(block: str, last_seq: int, position: Callable[[str], int]) -> Optional[list[TraceEvent]]:
+    # The events of a block of whole lines, parsed by one regex pass, when every line is exactly
+    # of the grammar and the seqs rise above last_seq; else None, for _read_trace to read or refuse
+    # line by line.  A match starts at a line and takes its "\n", so equal counts mean every line
+    # matched once.
+    rows = _TRACE_LINES.findall(block)
+    if not block.endswith("\n") or len(rows) != block.count("\n"):
+        return None
+    seq, kind, i, j, phase = zip(*rows)
+    try:
+        seq, i, j = list(map(int, seq)), list(map(position, i)), list(map(position, j))
+    except ValueError:  # past Python's limit on the digits int() reads
+        return None
+    if not all(map(lt, chain((last_seq,), seq), seq)):
+        return None
+    word = _TRACE_WORDS.__getitem__
+    return list(map(tuple.__new__, repeat(TraceEvent), zip(seq, map(word, kind), i, j, map(word, phase))))
 
 
 def iter_trace(path: str) -> Iterator[TraceEvent]:
-    """Stream the events of a trace that ``sort --trace`` wrote, one line at a time.
+    """Stream the events of a trace that ``sort --trace`` wrote.
 
     Each line that is not blank (only ASCII whitespace) must be one event
     in the writer's grammar, with its spacing and key order: ``seq`` from
     0 and rising (gaps allowed), ``i`` and ``j`` from 1, a kind and phase
-    that sorters emit.  The file is opened at the first ``next``, and a bad
-    line raises ``ValueError``, naming its 1-based number, only when the
-    reader reaches it, after every event before it has been yielded.
+    that sorters emit.  The file is opened at the first ``next`` and read
+    ahead one block of whole lines (about 16 k characters) at a time,
+    whose events are then yielded one by one.  Refusals stay lazy
+    and per line: a bad line raises ``ValueError``, naming its 1-based
+    number, only when the reader reaches it, after every event before it
+    has been yielded.
     """
     # Bytes that are not UTF-8 read as U+FFFD, which the grammar refuses with its line.
     # Lines end at "\n" alone; the strip takes a "\r" before it, and the grammar refuses one inside.
     with open(path, "r", encoding="utf-8", errors="replace", newline="\n") as fh:
-        yield from _read_trace(fh)
+        number, last_seq = 0, -1
+        position = lru_cache(maxsize=None)(int)  # one int object per distinct position, for this reader
+        while block := fh.read(_BLOCK) + fh.readline():
+            events = _read_block(block, last_seq, position)
+            if events is None:  # split at "\n" alone: str.splitlines also splits at "\r", "\x1c", "\x85"
+                last_seq = yield from _read_trace(block.split("\n"), number, last_seq, position)
+            else:
+                last_seq = events[-1].seq
+                yield from events
+            number += block.count("\n")
 
 
 def write_trace(path: str, events: Iterable[TraceEvent]) -> None:
@@ -209,7 +248,7 @@ def write_trace(path: str, events: Iterable[TraceEvent]) -> None:
             yield pending[1]
 
     with open(path, "w", encoding="utf-8") as fh:
-        for number, read in enumerate(_read_trace(lines()), 1):
+        for number, read in enumerate(_read_trace(lines(), 0, -1, int), 1):
             event, line = pending
             if read != event:
                 raise ValueError(f"trace line {number}: {_shown(event)} would read back as {_shown(read)}")

@@ -23,6 +23,8 @@ from collections import Counter
 from dataclasses import asdict
 from itertools import permutations, product
 from pathlib import Path
+from typing import Iterable, Optional
+from unittest import mock
 
 import pytest
 from hypothesis import given
@@ -300,73 +302,74 @@ def test_load_trace_rejects_unknown_kind_or_phase(tmp_path, line):
         load_trace(str(trace_path))
 
 
-@pytest.mark.parametrize(
-    "text",
-    [
-        '{"seq": 0, "kind": ["swap"], "i": 1, "j": 2, "phase": "selection"}',
-        '{"seq": "x", "kind": "swap", "i": "1", "j": 2, "phase": "selection"}',
-        '{"seq": 0, "kind": "swap", "i": 1, "j": 2.0, "phase": "selection"}',
-        '{"seq": 0, "kind": "swap", "i": true, "j": 2, "phase": "selection"}',
-        '{"kind": "swap", "i": 1, "j": 2, "phase": "selection"}',
-        '{"seq": 0, "kind": "swap", "i": 1, "j": 2}',
-        '{"seq": -1, "kind": "swap", "i": 1, "j": 2, "phase": "selection"}',
-        '{"seq": 1, "kind": "compare", "i": 1, "j": 2, "phase": "selection"}\n'
+# Traces whose last line, and only that line, the reader refuses.
+MALFORMED_TRACES = [
+    '{"seq": 0, "kind": ["swap"], "i": 1, "j": 2, "phase": "selection"}',
+    '{"seq": "x", "kind": "swap", "i": "1", "j": 2, "phase": "selection"}',
+    '{"seq": 0, "kind": "swap", "i": 1, "j": 2.0, "phase": "selection"}',
+    '{"seq": 0, "kind": "swap", "i": true, "j": 2, "phase": "selection"}',
+    '{"kind": "swap", "i": 1, "j": 2, "phase": "selection"}',
+    '{"seq": 0, "kind": "swap", "i": 1, "j": 2}',
+    '{"seq": -1, "kind": "swap", "i": 1, "j": 2, "phase": "selection"}',
+    '{"seq": 1, "kind": "compare", "i": 1, "j": 2, "phase": "selection"}\n'
+    '{"seq": 1, "kind": "swap", "i": 1, "j": 2, "phase": "selection"}',
+    "[0, 1, 2]",
+    '{"seq": 0, "kind": "swap", "i": 1, "j": 2, "phase": "selection"} '
+    '{"seq": 1, "kind": "swap", "i": 1, "j": 2, "phase": "selection"}',
+    '{"seq": 0, "kind": "swap", "i": 1, "j": 2, "phase": "selection"}x',
+    "seq 0 swap 1 2 selection",
+    '{"seq": 0, "kind": "compare", "i": 1, "j": 2, "phase": "selection"}\n'
+    '{"seq": 1, "kind": "swap", "i": 1, "j": 2}',
+    # Nested deeper than the decoder's recursion limit.
+    pytest.param("[" * 100_000 + "]" * 100_000, id="nested-too-deep"),
+    # An integer longer than Python's default 4,300-digit limit for int().
+    pytest.param(
+        '{"seq": ' + "1" * 5000 + ', "kind": "swap", "i": 1, "j": 2, "phase": "selection"}', id="int-too-long"
+    ),
+    pytest.param(
+        '{"seq": 0, "kind": "swap", "i": ' + "1" * 5000 + ', "j": 2, "phase": "selection"}', id="i-too-long"
+    ),
+    pytest.param(
+        '{"seq": 0, "kind": "swap", "i": 1, "j": ' + "2" * 5000 + ', "phase": "selection"}', id="j-too-long"
+    ),
+    # Bytes that are not UTF-8, in a kind and in an extra key.
+    pytest.param(
+        b'{"seq": 0, "kind": "compare", "i": 1, "j": 2, "phase": "selection"}\n'
+        b'{"seq": 1, "kind": "sw\xffap", "i": 1, "j": 2, "phase": "selection"}',
+        id="not-utf8-kind",
+    ),
+    pytest.param(
+        b'{"seq": 0, "kind": "compare", "i": 1, "j": 2, "phase": "selection", "note": "\xff"}',
+        id="not-utf8-ignored-key",
+    ),
+    # Lines no sorter writes, though a JSON decoder would read them as an event.
+    pytest.param('{"seq": 0, "kind": "swap", "i": 1, "j": 2, "phase": "selection", "i": 7}', id="repeated-key"),
+    pytest.param(
+        '{"seq": 0, "kind": "swap", "i": 1, "j": 2, "phase": "selection", "kind2": "merge"}', id="extra-key"
+    ),
+    pytest.param('{"seq":0,"kind":"swap","i":1,"j":2,"phase":"selection"}', id="compact-separators"),
+    pytest.param('{"kind": "swap", "seq": 0, "i": 1, "j": 2, "phase": "selection"}', id="reordered-keys"),
+    pytest.param('{"seq": 0, "kind": "swap", "i": 0, "j": 2, "phase": "selection"}', id="position-zero"),
+    pytest.param('{"seq": 0, "kind": "swap", "i": 1, "j": -5, "phase": "selection"}', id="negative-position"),
+    pytest.param("x" * 1_000_000, id="long-garbage"),
+    # Characters that str.strip takes for whitespace but ASCII does not.
+    pytest.param('\x1c{"seq": 0, "kind": "swap", "i": 1, "j": 2, "phase": "selection"}\x1c', id="wrapped-in-fs"),
+    pytest.param(
+        '\u3000{"seq": 0, "kind": "swap", "i": 1, "j": 2, "phase": "selection"}\u3000',
+        id="wrapped-in-ideographic-space",
+    ),
+    pytest.param('\x85{"seq": 0, "kind": "swap", "i": 1, "j": 2, "phase": "selection"}\x85', id="wrapped-in-nel"),
+    pytest.param('{"seq": 0, "kind": "swap", "i": 1, "j": 2, "phase": "selection"}\n\x1d', id="gs-only-line"),
+    # A lone "\r" ends no line.
+    pytest.param(
+        '{"seq": 0, "kind": "swap", "i": 1, "j": 2, "phase": "selection"}\r'
         '{"seq": 1, "kind": "swap", "i": 1, "j": 2, "phase": "selection"}',
-        "[0, 1, 2]",
-        '{"seq": 0, "kind": "swap", "i": 1, "j": 2, "phase": "selection"} '
-        '{"seq": 1, "kind": "swap", "i": 1, "j": 2, "phase": "selection"}',
-        '{"seq": 0, "kind": "swap", "i": 1, "j": 2, "phase": "selection"}x',
-        "seq 0 swap 1 2 selection",
-        '{"seq": 0, "kind": "compare", "i": 1, "j": 2, "phase": "selection"}\n'
-        '{"seq": 1, "kind": "swap", "i": 1, "j": 2}',
-        # Nested deeper than the decoder's recursion limit.
-        pytest.param("[" * 100_000 + "]" * 100_000, id="nested-too-deep"),
-        # An integer longer than Python's default 4,300-digit limit for int().
-        pytest.param(
-            '{"seq": ' + "1" * 5000 + ', "kind": "swap", "i": 1, "j": 2, "phase": "selection"}', id="int-too-long"
-        ),
-        pytest.param(
-            '{"seq": 0, "kind": "swap", "i": ' + "1" * 5000 + ', "j": 2, "phase": "selection"}', id="i-too-long"
-        ),
-        pytest.param(
-            '{"seq": 0, "kind": "swap", "i": 1, "j": ' + "2" * 5000 + ', "phase": "selection"}', id="j-too-long"
-        ),
-        # Bytes that are not UTF-8, in a kind and in an extra key.
-        pytest.param(
-            b'{"seq": 0, "kind": "compare", "i": 1, "j": 2, "phase": "selection"}\n'
-            b'{"seq": 1, "kind": "sw\xffap", "i": 1, "j": 2, "phase": "selection"}',
-            id="not-utf8-kind",
-        ),
-        pytest.param(
-            b'{"seq": 0, "kind": "compare", "i": 1, "j": 2, "phase": "selection", "note": "\xff"}',
-            id="not-utf8-ignored-key",
-        ),
-        # Lines no sorter writes, though a JSON decoder would read them as an event.
-        pytest.param('{"seq": 0, "kind": "swap", "i": 1, "j": 2, "phase": "selection", "i": 7}', id="repeated-key"),
-        pytest.param(
-            '{"seq": 0, "kind": "swap", "i": 1, "j": 2, "phase": "selection", "kind2": "merge"}', id="extra-key"
-        ),
-        pytest.param('{"seq":0,"kind":"swap","i":1,"j":2,"phase":"selection"}', id="compact-separators"),
-        pytest.param('{"kind": "swap", "seq": 0, "i": 1, "j": 2, "phase": "selection"}', id="reordered-keys"),
-        pytest.param('{"seq": 0, "kind": "swap", "i": 0, "j": 2, "phase": "selection"}', id="position-zero"),
-        pytest.param('{"seq": 0, "kind": "swap", "i": 1, "j": -5, "phase": "selection"}', id="negative-position"),
-        pytest.param("x" * 1_000_000, id="long-garbage"),
-        # Characters that str.strip takes for whitespace but ASCII does not.
-        pytest.param('\x1c{"seq": 0, "kind": "swap", "i": 1, "j": 2, "phase": "selection"}\x1c', id="wrapped-in-fs"),
-        pytest.param(
-            '\u3000{"seq": 0, "kind": "swap", "i": 1, "j": 2, "phase": "selection"}\u3000',
-            id="wrapped-in-ideographic-space",
-        ),
-        pytest.param('\x85{"seq": 0, "kind": "swap", "i": 1, "j": 2, "phase": "selection"}\x85', id="wrapped-in-nel"),
-        pytest.param('{"seq": 0, "kind": "swap", "i": 1, "j": 2, "phase": "selection"}\n\x1d', id="gs-only-line"),
-        # A lone "\r" ends no line.
-        pytest.param(
-            '{"seq": 0, "kind": "swap", "i": 1, "j": 2, "phase": "selection"}\r'
-            '{"seq": 1, "kind": "swap", "i": 1, "j": 2, "phase": "selection"}',
-            id="events-joined-by-cr",
-        ),
-    ],
-)
+        id="events-joined-by-cr",
+    ),
+]
+
+
+@pytest.mark.parametrize("text", MALFORMED_TRACES)
 def test_load_trace_rejects_malformed_events(tmp_path, text):
     trace_path = tmp_path / "trace.jsonl"
     newline = b"\n" if isinstance(text, bytes) else "\n"
@@ -398,6 +401,54 @@ def test_load_trace_rejects_malformed_events(tmp_path, text):
     head_path.write_bytes(data[: data.rfind(b"\n", 0, -1) + 1])
     assert streamed == load_trace(str(head_path))
     assert len(streamed) == text.count(newline)
+
+
+# Block sizes that end a block inside a line, at its end, and past several lines.
+BLOCK_SIZES = (1, 7, 64, 300, 65_536)
+
+
+def drain(events: Iterable[TraceEvent]) -> tuple[list[TraceEvent], Optional[str]]:
+    # The events a reader yields, and the message of the ValueError that ends it (None if none).
+    read = []
+    try:
+        for event in events:
+            read.append(event)
+    except ValueError as err:
+        return read, str(err)
+    return read, None
+
+
+def read_by_lines(path: Path) -> tuple[list[TraceEvent], Optional[str]]:
+    # The whole file through the line-at-a-time reader that iter_trace hands any other block to.
+    with open(path, encoding="utf-8", errors="replace", newline="\n") as fh:
+        return drain(cli._read_trace(fh, 0, -1, int))
+
+
+def read_by_blocks(path: Path, block: int) -> tuple[list[TraceEvent], Optional[str]]:
+    with mock.patch.object(cli, "_BLOCK", block):
+        return drain(iter_trace(str(path)))
+
+
+def written_lines(events: Iterable[TraceEvent]) -> list[str]:
+    lines = []
+    for event in events:
+        cli._write_trace_line(lines.append, event)
+    return lines
+
+
+@pytest.mark.parametrize("text", MALFORMED_TRACES)
+def test_iter_trace_refuses_a_malformed_row_blocks_in_as_the_line_reader_does(tmp_path, text):
+    # The row follows 40 events, its seqs raised past theirs, so that at small block sizes it falls many
+    # blocks in.  At every block size iter_trace yields what the line reader yields, then raises its message.
+    head = written_lines(TraceEvent(seq, KIND_COMPARE, 1, 2, PHASE_SELECTION) for seq in range(40))
+    row = (text if isinstance(text, bytes) else text.encode("utf-8")).replace(b'"seq": ', b'"seq": 4')
+    trace_path = tmp_path / "trace.jsonl"
+    trace_path.write_bytes("".join(head).encode() + row + b"\n")
+    events, message = read_by_lines(trace_path)
+    assert len(events) == 40 + row.count(b"\n")
+    assert message.startswith(f"trace line {len(events) + 1}: ")
+    for block in BLOCK_SIZES:
+        assert read_by_blocks(trace_path, block) == (events, message)
 
 
 def test_load_trace_leaves_the_collector_as_it_found_it(tmp_path):
@@ -592,9 +643,9 @@ def test_write_trace_refuses_a_negative_first_seq(tmp_path):
 
 
 @st.composite
-def trace_events(draw):
+def trace_events(draw, max_size=20):
     # seq rises from any start >= 0, with gaps; positions are any integers >= 1.
-    seqs = sorted(draw(st.sets(st.integers(min_value=0), max_size=20)))
+    seqs = sorted(draw(st.sets(st.integers(min_value=0), max_size=max_size)))
     kinds = st.sampled_from((KIND_COMPARE, KIND_SWAP))
     phases = st.sampled_from((PHASE_SELECTION, PHASE_INSERTION, PHASE_NA))
     positions = st.integers(min_value=1)
@@ -669,6 +720,71 @@ def test_iter_trace_reads_a_line_iff_the_reference_grammar_does(tmp_path_factory
     for event in read:
         cli._write_trace_line(written.append, event)
     assert written == [line + "\n" for line in stripped if line][: len(read)]
+
+
+@st.composite
+def long_traces(draw):
+    # The lines of up to 60 events as the writer writes them, with up to three other lines put in
+    # anywhere: a line of trace_lines(), any text, or ASCII whitespace alone.
+    lines = [line[:-1] for line in written_lines(draw(trace_events(max_size=60)))]
+    others = trace_lines() | st.text(max_size=80).map(lambda text: text.replace("\n", "")) | st.text(" \t\r")
+    for index, line in draw(st.lists(st.tuples(st.integers(0, len(lines)), others), max_size=3)):
+        lines.insert(index, line)
+    return lines
+
+
+@given(long_traces(), st.booleans())
+def test_iter_trace_reads_block_by_block_what_the_reference_grammar_reads(tmp_path_factory, lines, last_newline):
+    trace_path = tmp_path_factory.getbasetemp() / "long.jsonl"
+    trace_path.write_text("\n".join(lines) + "\n" * last_newline, encoding="utf-8")
+    expected, refused = reference.read_trace(lines)
+    events, message = read_by_lines(trace_path)
+    assert events == expected
+    assert message is None if refused is None else message.startswith(f"trace line {refused}: ")
+    for block in BLOCK_SIZES:
+        read = read_by_blocks(trace_path, block)
+        assert read == (events, message)
+        # One string per kind and phase, and one int per position, for the whole reader.
+        shared = {}
+        for event in read[0]:
+            assert event.kind is cli._TRACE_WORDS[event.kind] and event.phase is cli._TRACE_WORDS[event.phase]
+            assert shared.setdefault(event.i, event.i) is event.i
+            assert shared.setdefault(event.j, event.j) is event.j
+
+
+def test_iter_trace_reads_a_last_line_that_has_no_newline(tmp_path):
+    events = [TraceEvent(seq, KIND_COMPARE, 1, 2, PHASE_SELECTION) for seq in range(40)]
+    trace_path = tmp_path / "trace.jsonl"
+    trace_path.write_text("".join(written_lines(events))[:-1])
+    for block in BLOCK_SIZES:
+        assert read_by_blocks(trace_path, block) == (events, None)
+
+
+GOOD_LINE = '{"seq": 17, "kind": "swap", "i": 1, "j": 2, "phase": "insertion"}'
+
+
+@pytest.mark.parametrize(
+    "number, bad, reason",
+    [
+        (8, GOOD_LINE.replace("17", "1" * 5000), f"more than {sys.get_int_max_str_digits()} digits"),
+        (7, GOOD_LINE.replace("17", "16"), "seq does not rise above 16"),
+        (8, GOOD_LINE, "seq does not rise above 17"),
+    ],
+    ids=["digit-limit", "first-line-repeats-a-seq", "second-line-repeats-a-seq"],
+)
+def test_iter_trace_refuses_a_line_of_the_third_block_by_its_number_in_the_file(tmp_path, number, bad, reason):
+    # Line n holds seq 10 + n, so every line has one length, and a block of two lines' length reads
+    # two lines and then on to the end of a third: the third block starts at line 7.
+    events = [TraceEvent(10 + n, KIND_SWAP, 1, 2, PHASE_INSERTION) for n in range(1, 21)]
+    lines = written_lines(events)
+    assert len(set(map(len, lines))) == 1
+    lines[number - 1] = bad + "\n"
+    trace_path = tmp_path / "trace.jsonl"
+    trace_path.write_text("".join(lines))
+    assert read_by_blocks(trace_path, 2 * len(lines[0])) == (
+        events[: number - 1],
+        f"trace line {number}: {reason}: {cli._shown(bad)}",
+    )
 
 
 # -------------------------------------------------------------- glue
