@@ -148,8 +148,9 @@ _TRACE_LINE = re.compile(
     r'{"seq": (0|[1-9][0-9]*), "kind": "(compare|swap)", "i": ([1-9][0-9]*), "j": ([1-9][0-9]*), '
     r'"phase": "(selection|insertion|not_applicable)"}'
 )
-# The same grammar over a block of whole lines: each match is one line, "\n" and all.
-_TRACE_LINES = re.compile("^" + _TRACE_LINE.pattern + "\n", re.MULTILINE)
+# The same grammar over a block of whole lines: each match is one line, "\n" and all.  A "\r"
+# before the "\n" is padding the line reader strips, and text-mode writes on Windows put it there.
+_TRACE_LINES = re.compile("^" + _TRACE_LINE.pattern + "\r?\n", re.MULTILINE)
 # Characters iter_trace reads ahead per block, before it reads on to the end of a line.  Larger
 # blocks cost less CPU per event and more peak memory; BENCH_block_reader.json has both.
 _BLOCK = 16384

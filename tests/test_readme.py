@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from sortlab import cli
 from sortlab.cli import BENCH_COLUMNS, PROOF_N_MAX, SWEEP_N_MAX, TIE_SAMPLES, main
 from sortlab.verify import CHECK_IDS
 
@@ -67,3 +68,9 @@ def test_readme_states_the_sweep_reach_and_tie_the_code_has():
     reach = re.search(r"up to n = (\d+) \(`pi`\) and n = (\d+) \(`lemma1`\)", section)
     assert (int(reach.group(1)), int(reach.group(2))) == (PROOF_N_MAX["pi"], PROOF_N_MAX["lemma1"])
     assert int(re.search(r"(\d+) permutations drawn with `--seed`", section).group(1)) == TIE_SAMPLES
+
+
+def test_readme_states_the_block_the_trace_reader_reads_ahead():
+    text = re.sub(r"\s+", " ", README.read_text(encoding="utf-8"))
+    kilo = int(re.search(r"reads ahead one block of whole lines at a time, about (\d+) k characters", text).group(1))
+    assert kilo * 1024 == cli._BLOCK
