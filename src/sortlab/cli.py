@@ -156,6 +156,14 @@ _TRACE_LINES = re.compile("^" + _TRACE_LINE.pattern + "\r?\n", re.MULTILINE)
 _BLOCK = 16384
 
 
+class _Positions(dict):
+    # One reader's int for each distinct position text: a hit is a dict lookup in C, with no
+    # Python call, and a miss reads the int and keeps it.
+    def __missing__(self, text: str) -> int:
+        self[text] = value = int(text)
+        return value
+
+
 def _write_trace_line(write: Callable[[str], object], event: TraceEvent) -> None:
     seq, kind, i, j, phase = event
     write(f'{{"seq": {seq}, "kind": "{kind}", "i": {i}, "j": {j}, "phase": "{phase}"}}\n')
@@ -192,12 +200,13 @@ def _read_trace(
 def _read_block(block: str, last_seq: int, position: Callable[[str], int]) -> Optional[list[TraceEvent]]:
     # The events of a block of whole lines, parsed by one regex pass, when every line is exactly
     # of the grammar and the seqs rise above last_seq; else None, for _read_trace to read or refuse
-    # line by line.  A match starts at a line and takes its "\n", so equal counts mean every line
-    # matched once.
-    rows = _TRACE_LINES.findall(block)
-    if not block.endswith("\n") or len(rows) != block.count("\n"):
+    # line by line.  The split puts each match's groups between the texts that no match took, so
+    # when those are all empty, the matches, one line each, cover the whole block.
+    parts = _TRACE_LINES.split(block)
+    step = _TRACE_LINES.groups + 1
+    if any(parts[::step]):
         return None
-    seq, kind, i, j, phase = zip(*rows)
+    seq, kind, i, j, phase = (parts[group::step] for group in range(1, step))
     try:
         seq, i, j = list(map(int, seq)), list(map(position, i)), list(map(position, j))
     except ValueError:  # past Python's limit on the digits int() reads
@@ -225,15 +234,15 @@ def iter_trace(path: str) -> Iterator[TraceEvent]:
     # Lines end at "\n" alone; the strip takes a "\r" before it, and the grammar refuses one inside.
     with open(path, "r", encoding="utf-8", errors="replace", newline="\n") as fh:
         number, last_seq = 0, -1
-        position = lru_cache(maxsize=None)(int)  # one int object per distinct position, for this reader
+        position = _Positions().__getitem__  # one int object per distinct position, for this reader
         while block := fh.read(_BLOCK) + fh.readline():
             events = _read_block(block, last_seq, position)
             if events is None:  # split at "\n" alone: str.splitlines also splits at "\r", "\x1c", "\x85"
                 last_seq = yield from _read_trace(block.split("\n"), number, last_seq, position)
+                number += block.count("\n")
             else:
-                last_seq = events[-1].seq
+                last_seq, number = events[-1].seq, number + len(events)
                 yield from events
-            number += block.count("\n")
 
 
 def write_trace(path: str, events: Iterable[TraceEvent]) -> None:
