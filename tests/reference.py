@@ -98,8 +98,8 @@ def naive_std_insertion(values):
 
 
 def merge_count_inversions(values):
-    """O(n log n) inversion count by merge sort, independent of the
-    package's pair-scan counter."""
+    """O(n log n) inversion count by merge sort, an algorithm independent
+    of the package's binary-insertion counter."""
 
     def rec(seq):
         if len(seq) <= 1:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 from itertools import permutations, product
 
@@ -49,7 +50,7 @@ def assert_delta_is_the_recount_change(values):
 
 
 def test_inversion_delta_matches_full_recount():
-    # The full O(n^2) recount stays the reference for the O(q - p) delta.
+    # The full recount stays the reference for the O(q - p) delta.
     for n in range(0, 7):
         for perm in permutations(range(1, n + 1)):
             assert_delta_is_the_recount_change(perm)
@@ -135,6 +136,50 @@ def test_against_merge_oracle_seeded():
         for _ in range(8):
             values = [rng.randrange(-20, 21) for _ in range(n)]
             assert count_inversions(values) == merge_count_inversions(values)
+
+
+class CountedKey:
+    """A key that defines only ``<`` and counts every call to it."""
+
+    __slots__ = ("key",)
+    calls = 0
+
+    def __init__(self, key):
+        self.key = key
+
+    def __lt__(self, other):
+        CountedKey.calls += 1
+        return self.key < other.key
+
+
+def _shapes_1024():
+    n = 1024
+    shuffled = list(range(n))
+    random.Random(36).shuffle(shuffled)
+    rng = random.Random(37)
+    return {
+        "sorted": list(range(n)),
+        "reversed": list(range(n, 0, -1)),
+        "all-equal": [7] * n,
+        "shuffled": shuffled,
+        "four-values": [rng.randrange(4) for _ in range(n)],
+    }
+
+
+SHAPES_1024 = _shapes_1024()
+
+
+@pytest.mark.parametrize("shape", SHAPES_1024)
+def test_count_inversions_uses_only_less_than_and_n_log_n_comparisons(shape):
+    # One binary search per element: at most ceil(log2(k + 1)) comparisons
+    # against the k elements before it.  A pair scan makes n(n-1)/2 =
+    # 523,776 at n = 1,024, far past the bound of 11,264.
+    values = SHAPES_1024[shape]
+    n = len(values)
+    CountedKey.calls = 0
+    got = count_inversions([CountedKey(v) for v in values])
+    assert got == merge_count_inversions(values), shape
+    assert CountedKey.calls <= n * math.ceil(math.log2(n + 1)), (shape, CountedKey.calls)
 
 
 @given(st.lists(st.integers(-100, 100), max_size=64))
