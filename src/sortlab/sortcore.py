@@ -54,13 +54,13 @@ class TraceEvent(NamedTuple):
 
     A named tuple because the sorters build one per comparison: it costs
     about half what a frozen dataclass does to construct, and its fields
-    are just as read-only.  The sorters and ``cli.iter_trace`` build it
+    are just as read-only.  The sorters and ``trace.iter_trace`` build it
     with ``tuple.__new__(TraceEvent, (seq, kind, i, j, phase))``, which
     skips the generated ``__new__`` (a Python function call per event)
     and halves that cost again; the result is an ordinary ``TraceEvent``.
     A traced sort spends most of its time on events.  Unlike a plain
     tuple of ints and strings, an instance stays tracked by CPython's
-    cyclic collector, so ``cli.load_trace`` pauses the collector while
+    cyclic collector, so ``trace.load_trace`` pauses the collector while
     it builds its list.
     """
 

@@ -33,18 +33,16 @@ from hypothesis import strategies as st
 import faults
 import reference
 import sortlab.cli as cli
+import sortlab.trace as trace
 from sortlab import replay_trace
 from sortlab.cli import (
     BENCH_COLUMNS,
     build_parser,
     collect_bench_records,
-    iter_trace,
-    load_trace,
     main,
     parse_int_values,
     summarize_bench,
     write_bench_csv,
-    write_trace,
 )
 from sortlab.oracle import EXHAUSTIVE_CAP
 from sortlab.sortcore import (
@@ -55,6 +53,7 @@ from sortlab.sortcore import (
     PHASE_SELECTION,
     TraceEvent,
 )
+from sortlab.trace import iter_trace, load_trace, write_trace
 
 CSV_HEADER = "algorithm,n,rep,seed,comparisons,swaps,wall_ns"
 
@@ -386,7 +385,7 @@ def test_load_trace_rejects_malformed_events(tmp_path, text):
     assert str(refused.value).isprintable()
     # Between that head and the cut echo of the line stands one of the reader's own reasons, never Python's.
     bad_line = trace_path.read_bytes().decode("utf-8", "replace").split("\n")[-2].strip(reference.ASCII_WHITESPACE)
-    head, echo = f"trace line {text.count(newline) + 1}: ", f": {cli._shown(bad_line)}"
+    head, echo = f"trace line {text.count(newline) + 1}: ", f": {trace._shown(bad_line)}"
     assert str(refused.value).endswith(echo)
     reason = str(refused.value)[len(head) : -len(echo)]
     assert re.fullmatch(r"not of the form .+|seq does not rise above [0-9]+|more than [0-9]+ digits", reason)
@@ -421,18 +420,18 @@ def drain(events: Iterable[TraceEvent]) -> tuple[list[TraceEvent], Optional[str]
 def read_by_lines(path: Path) -> tuple[list[TraceEvent], Optional[str]]:
     # The whole file through the line-at-a-time reader that iter_trace hands any other block to.
     with open(path, encoding="utf-8", errors="replace", newline="\n") as fh:
-        return drain(cli._read_trace(fh, 0, -1, int))
+        return drain(trace._read_trace(fh, 0, -1, int))
 
 
 def read_by_blocks(path: Path, block: int) -> tuple[list[TraceEvent], Optional[str]]:
-    with mock.patch.object(cli, "_BLOCK", block):
+    with mock.patch.object(trace, "_BLOCK", block):
         return drain(iter_trace(str(path)))
 
 
 def written_lines(events: Iterable[TraceEvent]) -> list[str]:
     lines = []
     for event in events:
-        cli._write_trace_line(lines.append, event)
+        trace._write_trace_line(lines.append, event)
     return lines
 
 
@@ -718,7 +717,7 @@ def test_iter_trace_reads_a_line_iff_the_reference_grammar_does(tmp_path_factory
     stripped = [line.strip(reference.ASCII_WHITESPACE) for line in lines]
     written = []
     for event in read:
-        cli._write_trace_line(written.append, event)
+        trace._write_trace_line(written.append, event)
     assert written == [line + "\n" for line in stripped if line][: len(read)]
 
 
@@ -747,7 +746,7 @@ def test_iter_trace_reads_block_by_block_what_the_reference_grammar_reads(tmp_pa
         # One string per kind and phase, and one int per position, for the whole reader.
         shared = {}
         for event in read[0]:
-            assert event.kind is cli._TRACE_WORDS[event.kind] and event.phase is cli._TRACE_WORDS[event.phase]
+            assert event.kind is trace._TRACE_WORDS[event.kind] and event.phase is trace._TRACE_WORDS[event.phase]
             assert shared.setdefault(event.i, event.i) is event.i
             assert shared.setdefault(event.j, event.j) is event.j
 
@@ -783,7 +782,7 @@ def test_iter_trace_refuses_a_line_of_the_third_block_by_its_number_in_the_file(
     trace_path.write_text("".join(lines))
     assert read_by_blocks(trace_path, 2 * len(lines[0])) == (
         events[: number - 1],
-        f"trace line {number}: {reason}: {cli._shown(bad)}",
+        f"trace line {number}: {reason}: {trace._shown(bad)}",
     )
 
 

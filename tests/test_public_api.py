@@ -27,3 +27,22 @@ def test_import_sortlab_loads_neither_the_cli_nor_its_modules():
     submodules = {"sortlab.metrics", "sortlab.oracle", "sortlab.sortcore", "sortlab.verify"}
     assert {name for name in added if name.partition(".")[0] == "sortlab"} == {"sortlab", *submodules}
     assert added.isdisjoint({"argparse", "csv", "json", "statistics"})
+
+
+def test_import_sortlab_trace_loads_neither_the_cli_nor_its_parsers():
+    # The trace format sits below the CLI, so a library reader of traces pays for none of these.
+    probe = "import sys; old = set(sys.modules); import sortlab.trace; print(*sys.modules.keys() - old)"
+    run = subprocess.run([sys.executable, "-E", "-s", "-c", probe], cwd=SRC, capture_output=True, text=True, check=True)
+    added = set(run.stdout.split())
+    assert "sortlab.trace" in added
+    assert added.isdisjoint({"sortlab.cli", "sortlab.network", "argparse", "csv", "json"})
+
+
+def test_the_cli_holds_the_trace_module_s_own_load_and_write():
+    # perfbench wraps both in sortlab.cli, so each must be the one implementation, not a copy;
+    # and a patch of cli._BLOCK would never reach the reader, so the CLI has no such name.
+    from sortlab import cli, trace
+
+    assert cli.load_trace is trace.load_trace
+    assert cli.write_trace is trace.write_trace
+    assert not hasattr(cli, "_BLOCK")
