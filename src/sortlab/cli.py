@@ -21,47 +21,36 @@ import string
 import sys
 import time
 from contextlib import nullcontext
-from dataclasses import asdict, astuple, dataclass, fields, replace
+from dataclasses import asdict, astuple, dataclass, fields
 from functools import lru_cache, partial
-from itertools import chain, product, zip_longest
+from itertools import chain, product
 from pathlib import Path
 from statistics import fmean
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .metrics import swap_bounds
 from .oracle import (
     EXHAUSTIVE_CAP,
     OracleSummary,
-    enumerate_permutations,
     exhaustive_summary,
     random_suite,
     theorem2_extremal_inputs,
     theorem4_extremal_input,
 )
 from .sortcore import ALGORITHMS, icbics_sort
-from .network import lift, prove_lemma1, prove_pi
-# load_trace and write_trace are kept here only for perfbench, which wraps and imports them from cli.
+from .network import SWEEP_N_MAX, prove_claims
+# load_trace, write_trace, check_pi_invariant and check_lemma1 are kept here only for perfbench,
+# which wraps and imports them from cli.
 from .trace import _cut, _shown, _write_trace_line, load_trace, write_trace
 from .verify import (
     CHECK_IDS,
     VerificationVerdict,
-    _check_replay,
+    _sweep,
     check_lemma1,
     check_pi_invariant,
     check_theorem_bounds,
     find_instability_witness,
 )
-
-# pi and lemma1 replay a traced run of every permutation up to this length, or --n-max if lower,
-# and hold its compares to its length's first run's: this checks the kernel itself, data and all.
-SWEEP_N_MAX = 6
-# Past it each is proved on the kernel's comparator network at every length up to its reach.
-# Lemma 1's proof holds 2·3ⁿ bits per cell, so its reach is set by verify's peak memory.
-PROOF_N_MAX = {"pi": 16, "lemma1": 10}
-# The proof speaks for the kernel only if it makes one list of compares at each length.  Past
-# the sweep, the claims and that list are checked on traced runs of 1..n, n..1 and this many
-# permutations drawn with --seed.
-TIE_SAMPLES = 100
 
 # Length of the random permutations drawn when verify is given
 # --samples; large enough that the bounds are not trivially loose,
@@ -155,8 +144,6 @@ def cmd_sort(args: argparse.Namespace) -> int:
 
 # exhaustive_summary, cached for one verify run.
 Survey = Callable[[int], OracleSummary]
-# A per-input check of the open claims: the counterexample of each that fails, by claim id.
-Check = Callable[[Sequence[int], tuple[str, ...]], dict[str, dict]]
 # Each survey claim's counterexample remade on an input that failed it, or None; names resolve when called.
 _REBUILD = {
     "correctness": lambda values: _check_sorted(values, ("correctness",)).get("correctness"),
@@ -169,88 +156,6 @@ def _check_sorted(values: Sequence[int], claims: tuple[str, ...]) -> dict[str, d
     if output == sorted(values):
         return {}
     return {"correctness": {"input": values, "output": output}}
-
-
-def _sweep(
-    check: Check, claims: tuple[str, ...], inputs: Iterable[Sequence[int]], examined: int = 0
-) -> dict[str, VerificationVerdict]:
-    """The one loop over per-input claims: run ``check`` on each input in
-    turn for the claims still open, and return each claim's verdict by
-    claim id.  A claim closes at its first counterexample, and the sweep
-    stops once none is open; ``details`` counts the inputs examined, the
-    failing one included, after the ``examined`` already counted."""
-    verdicts = {}
-    for values in inputs:
-        if not claims:
-            break
-        examined += 1
-        if failures := check(values, claims):
-            for claim, counterexample in failures.items():
-                verdicts[claim] = VerificationVerdict(False, counterexample, {"inputs_examined": examined})
-            claims = tuple(claim for claim in claims if claim not in failures)
-    for claim in claims:
-        verdicts[claim] = VerificationVerdict(True, details={"inputs_examined": examined})
-    return verdicts
-
-
-# Each proof by claim: its prover, the claim's own check (names resolve when called), and the
-# alphabet of the words it runs.
-_PROOFS = {
-    "pi": (prove_pi, lambda values: check_pi_invariant(values), "0/1"),
-    "lemma1": (prove_lemma1, lambda values: check_lemma1(values), "0/1/2"),
-}
-
-
-def _tie(values: Sequence[int], claims: tuple[str, ...], networks: dict[int, list]) -> dict[str, dict]:
-    # The counterexample of each claim that the installed icbics_sort's traced run on ``values``
-    # fails, by its replay or else, for every claim, by a compare that leaves the network of its
-    # length in ``networks``, which the first run of each length sets.
-    compares = []
-    failures = _check_replay(values, claims, compares)
-    network = networks.setdefault(len(values), compares)
-    if compares == network:
-        return failures
-    k, (expected, observed) = next(
-        (k, pair) for k, pair in enumerate(zip_longest(network, compares)) if pair[0] != pair[1]
-    )
-    differ = {"input": list(values), "compare": k + 1, "expected": expected, "observed": observed}
-    return {**dict.fromkeys(claims, differ), **failures}
-
-
-def _prove(swept: dict[str, VerificationVerdict], swept_n: int, seed: int) -> dict[str, VerificationVerdict]:
-    # ``swept``'s verdicts, each that passed the sweep through length ``swept_n`` extended by a
-    # proof at each longer length up to its claim's reach.  At each length one _sweep of _tie over
-    # 1..n, n..1 and permutations drawn with ``seed`` checks the open claims and sets the network,
-    # the compares of 1..n, on which each claim still open is then proved.  The network is dropped
-    # after its length: holding every one would raise verify's peak memory.
-    rng = random.Random(seed)
-    verdicts = dict(swept)
-    # Each claim that passed the sweep, by the length it is proved to: its reach, or the last before it failed.
-    proved_n = {claim: PROOF_N_MAX[claim] for claim, verdict in swept.items() if verdict.passed}
-    for n in range(swept_n + 1, max(PROOF_N_MAX.values()) + 1):
-        claims = tuple(claim for claim, reach in proved_n.items() if n <= reach)
-        networks = {}
-        drawn = (rng.sample(range(1, n + 1), n) for _ in range(TIE_SAMPLES))
-        tied = _sweep(partial(_tie, networks=networks), claims, chain([range(1, n + 1), range(n, 0, -1)], drawn))
-        for claim in claims:
-            prover, check, _ = _PROOFS[claim]
-            counterexample = tied[claim].counterexample
-            if counterexample is None and (word := prover(networks[n], n)) is not None:
-                # Lifted, the word fails the claim's check, unless the kernel leaves its network there.
-                values = lift(word)
-                counterexample = check(values).counterexample or {"n": n, "word": word, "lifted": values}
-            if counterexample is not None:
-                verdicts[claim] = VerificationVerdict(False, counterexample)
-                proved_n[claim] = n - 1
-    assumes = (
-        "one list of compares per length; past swept_n, each claim and that list are checked on the"
-        f" kernel's runs on 1..n, n..1 and {TIE_SAMPLES} seeded permutations"
-    )
-    for claim, reach in proved_n.items():
-        method = f"0-1 principle: all {_PROOFS[claim][2]} words, on the kernel's network"
-        details = {**swept[claim].details, "swept_n": swept_n, "method": method, "assumes": assumes, "proved_n": reach}
-        verdicts[claim] = replace(verdicts[claim], details=details)
-    return verdicts
 
 
 def _survey_failure(check_id: str, summary: OracleSummary, examined: int) -> Optional[VerificationVerdict]:
@@ -277,7 +182,7 @@ def _verify_correctness(n_max: int, survey: Survey) -> VerificationVerdict:
 
 def _verify_theorem2(n_max: int, survey: Survey) -> VerificationVerdict:
     per_n = {}
-    for n in range(2, n_max + 1):
+    for n in range(2, max(n_max, 2) + 1):
         summary = survey(n)
         expected = swap_bounds(n, 0)[0]
         if summary.max_swaps != expected:
@@ -294,7 +199,7 @@ def _verify_theorem2(n_max: int, survey: Survey) -> VerificationVerdict:
 
 def _verify_theorem3(n_max: int, survey: Survey) -> VerificationVerdict:
     examined = 0
-    for n in range(2, n_max + 1):
+    for n in range(2, max(n_max, 2) + 1):
         summary = survey(n)
         if escaped := _survey_failure("theorem3", summary, examined):
             return escaped
@@ -312,7 +217,7 @@ def _verify_theorem3(n_max: int, survey: Survey) -> VerificationVerdict:
 def _verify_theorem4(n_max: int, survey: Survey) -> VerificationVerdict:
     per_n = {}
     examined = 0
-    for n in range(2, n_max + 1):
+    for n in range(2, max(n_max, 2) + 1):
         summary = survey(n)
         if escaped := _survey_failure("theorem4", summary, examined):
             return escaped
@@ -343,7 +248,7 @@ def _verify_instability(n_max: int, survey: Survey) -> VerificationVerdict:
     return VerificationVerdict(True, details={"searched_up_to": limit, "witness": asdict(witness)})
 
 
-# One entry per check id but pi and lemma1, which share one _sweep of _tie and _prove:
+# One entry per check id but pi and lemma1, which share one prove_claims:
 # called with --n-max and the run's cached exhaustive survey.
 _CHECKS = {
     "correctness": _verify_correctness,
@@ -356,13 +261,9 @@ _CHECKS = {
 
 def cmd_verify(args: argparse.Namespace) -> int:
     # theorem2-4 read one exhaustive survey per n, made once per run.  pi and lemma1 come from
-    # one sweep over the selected ones, made here, then one proof run for those that passed;
-    # neither runs if neither is selected.
+    # one prove_claims over the selected ones, which runs nothing if neither is selected.
     survey = lru_cache(maxsize=None)(exhaustive_summary)
-    swept_n = min(args.n_max, SWEEP_N_MAX)
-    permutations = chain.from_iterable(enumerate_permutations(n) for n in range(1, swept_n + 1))
-    replayed = _sweep(partial(_tie, networks={}), tuple(c for c in ("pi", "lemma1") if c in args.checks), permutations)
-    replayed = _prove(replayed, swept_n, args.seed)
+    replayed = prove_claims(tuple(c for c in ("pi", "lemma1") if c in args.checks), args.n_max, args.seed)
     results = {}
     all_passed = True
     for check_id in args.checks:
@@ -574,9 +475,9 @@ def build_parser() -> argparse.ArgumentParser:
         dest="n_max",
         type=_int_range(1, EXHAUSTIVE_CAP),
         default=7,
-        help=f"correctness and theorem2-theorem4 check every permutation up to this length, 1..{EXHAUSTIVE_CAP}; "
-        f"pi and lemma1 check every one up to at most {SWEEP_N_MAX}, then are proved on the kernel's comparator "
-        "network (default: %(default)s)",
+        help=f"correctness and theorem2-theorem4 check every permutation up to this length, 1..{EXHAUSTIVE_CAP}, "
+        f"theorem2-theorem4 from 2 whatever it is; pi and lemma1 check every one up to at most {SWEEP_N_MAX}, "
+        "then are proved on the kernel's comparator network (default: %(default)s)",
     )
     p_verify.add_argument(
         "--samples",

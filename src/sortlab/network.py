@@ -25,15 +25,35 @@ first, is at least t, for the cell k + 1.  One operation on Python ints
 then applies a comparator to every word.  A prover returns the values
 of the first failing word, and :func:`lift` makes it a permutation on
 which the network fails the claim too.
+
+:func:`prove_claims` proves them for ``icbics_sort``, a network only if
+it makes one list of compares per length.  Every run it makes, of each
+permutation up to ``SWEEP_N_MAX`` and past it of 1..n, n..1 and
+``TIE_SAMPLES`` seeded ones, replays the claims and must make its
+length's first run's compares.  So a passing verdict ``assumes`` that,
+past the sweep, the kernel follows its network on inputs no run met.
 """
 
 from __future__ import annotations
 
+import random
+from dataclasses import replace
+from functools import partial
+from itertools import chain, zip_longest
 from typing import Optional, Sequence
 
+from .oracle import enumerate_permutations
 from .sortcore import PHASE_SELECTION
+from .verify import VerificationVerdict, _check_replay, _sweep
 
 Network = Sequence[tuple[int, int, str]]
+
+# The length up to which the claims are checked on every permutation, the kernel itself, data and all.
+SWEEP_N_MAX = 6
+# Each claim's reach; Lemma 1's proof holds 2·3ⁿ bits per cell, so its reach is set by verify's peak memory.
+PROOF_N_MAX = {"pi": 16, "lemma1": 10}
+# The permutations drawn with the seed at each length past the sweep, to tie the kernel to its network.
+TIE_SAMPLES = 100
 
 
 def _planes(n: int, base: int) -> list[list[int]]:
@@ -130,3 +150,61 @@ def lift(word: Sequence[int]) -> list[int]:
     for rank, k in enumerate(ranked, 1):
         perm[k] = rank
     return perm
+
+
+# Each proof by claim: its prover and the alphabet of the words it runs.
+_PROOFS = {"pi": (prove_pi, "0/1"), "lemma1": (prove_lemma1, "0/1/2")}
+
+
+def _tie(values: Sequence[int], claims: tuple[str, ...], networks: dict[int, list]) -> dict[str, dict]:
+    # The counterexample of each claim that the installed icbics_sort's traced run on ``values``
+    # fails, by its replay or else, for every claim, by a compare that leaves the network of its
+    # length in ``networks``, which the first run of each length sets.
+    compares = []
+    failures = _check_replay(values, claims, compares)
+    network = networks.setdefault(len(values), compares)
+    if compares == network:
+        return failures
+    k, (expected, observed) = next(
+        (k, pair) for k, pair in enumerate(zip_longest(network, compares)) if pair[0] != pair[1]
+    )
+    differ = {"input": list(values), "compare": k + 1, "expected": expected, "observed": observed}
+    return {**dict.fromkeys(claims, differ), **failures}
+
+
+def prove_claims(claims: tuple[str, ...], n_max: int, seed: int) -> dict[str, VerificationVerdict]:
+    """The verdict of each of ``claims`` ("pi", "lemma1", or both) by claim
+    id: swept through ``min(n_max, SWEEP_N_MAX)``, then each that passed
+    proved up to its reach.  Each length's network is dropped after it, as
+    holding every one would raise verify's peak memory."""
+    swept_n = min(n_max, SWEEP_N_MAX)
+    permutations = chain.from_iterable(enumerate_permutations(n) for n in range(1, swept_n + 1))
+    swept = _sweep(partial(_tie, networks={}), claims, permutations)
+    rng = random.Random(seed)
+    verdicts = dict(swept)
+    # Each claim that passed the sweep, by the length it is proved to: its reach, or the last before it failed.
+    proved_n = {claim: PROOF_N_MAX[claim] for claim, verdict in swept.items() if verdict.passed}
+    for n in range(swept_n + 1, max(PROOF_N_MAX.values()) + 1):
+        open_claims = tuple(claim for claim, reach in proved_n.items() if n <= reach)
+        networks = {}
+        drawn = (rng.sample(range(1, n + 1), n) for _ in range(TIE_SAMPLES))
+        tied = _sweep(partial(_tie, networks=networks), open_claims, chain([range(1, n + 1), range(n, 0, -1)], drawn))
+        for claim in open_claims:
+            prover, _ = _PROOFS[claim]
+            counterexample = tied[claim].counterexample
+            if counterexample is None and (word := prover(networks[n], n)) is not None:
+                # Lifted, the word fails the claim's check, unless the kernel leaves its network there.
+                values = lift(word)
+                counterexample = _check_replay(values, (claim,)).get(claim) or {"n": n, "word": word, "lifted": values}
+            if counterexample is not None:
+                verdicts[claim] = VerificationVerdict(False, counterexample)
+                proved_n[claim] = n - 1
+    assumes = (
+        "one list of compares per length; past swept_n, each claim and that list are checked on the"
+        f" kernel's runs on 1..n, n..1 and {TIE_SAMPLES} seeded permutations"
+    )
+    for claim, reach in proved_n.items():
+        method = f"0-1 principle: all {_PROOFS[claim][1]} words, on the kernel's network"
+        details = {**swept[claim].details, "swept_n": swept_n, "method": method, "assumes": assumes, "proved_n": reach}
+        verdicts[claim] = replace(verdicts[claim], details=details)
+    return verdicts

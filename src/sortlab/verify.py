@@ -6,15 +6,11 @@ pass, the +1/-1 inversion delta of every swap, the closed-form swap
 bounds, or (by search over tagged inputs) the fact that the sort is
 not stable.  The first two, ``pi`` and ``lemma1``, share one observer
 that replays each swap once and checks either claim or both on the same
-traced run.  ``sortlab verify`` sweeps the permutations up to n = 6 with
-it, each sorted once for whichever of the two are still open and held to
-the compares of the first run of its length; a claim stays open until its
-first violation, and one that passes is then proved, past the sweep only,
-on the kernel's comparator network (``sortlab.network``).  Checks return a
-:class:`VerificationVerdict`; a failing verdict always carries a
-replayable counterexample.  ``sortlab verify`` reports each check's whole
-sweep as one verdict too, with what the sweep covered (inputs examined,
-per-n extremes) in its ``details``.
+traced run; ``sortlab.network.prove_claims`` sweeps and proves them with
+it.  Checks return a :class:`VerificationVerdict`; a failing verdict
+always carries a replayable counterexample.  ``sortlab verify`` reports
+each check's whole sweep as one verdict too, with what the sweep covered
+(inputs examined, per-n extremes) in its ``details``.
 
 Checks that assume distinct elements raise ``ValueError`` when handed
 duplicates instead of producing an undefined verdict.
@@ -25,7 +21,7 @@ from __future__ import annotations
 import string
 from dataclasses import dataclass, field
 from itertools import product
-from typing import Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .metrics import count_inversions, inversion_delta, violated_bounds
 from .sortcore import (
@@ -36,6 +32,9 @@ from .sortcore import (
 )
 
 CHECK_IDS = ("correctness", "pi", "lemma1", "theorem2", "theorem3", "theorem4", "instability")
+
+# A per-input check of the open claims: the counterexample of each that fails, by claim id.
+Check = Callable[[Sequence[int], tuple[str, ...]], dict[str, dict]]
 
 
 @dataclass(frozen=True)
@@ -56,6 +55,28 @@ class VerificationVerdict:
     passed: bool
     counterexample: Optional[dict] = None
     details: dict = field(default_factory=dict)
+
+
+def _sweep(
+    check: Check, claims: tuple[str, ...], inputs: Iterable[Sequence[int]], examined: int = 0
+) -> dict[str, VerificationVerdict]:
+    """The one loop over per-input claims: run ``check`` on each input in
+    turn for the claims still open, and return each claim's verdict by
+    claim id.  A claim closes at its first counterexample, and the sweep
+    stops once none is open; ``details`` counts the inputs examined, the
+    failing one included, after the ``examined`` already counted."""
+    verdicts = {}
+    for values in inputs:
+        if not claims:
+            break
+        examined += 1
+        if failures := check(values, claims):
+            for claim, counterexample in failures.items():
+                verdicts[claim] = VerificationVerdict(False, counterexample, {"inputs_examined": examined})
+            claims = tuple(claim for claim in claims if claim not in failures)
+    for claim in claims:
+        verdicts[claim] = VerificationVerdict(True, details={"inputs_examined": examined})
+    return verdicts
 
 
 def _require_distinct(values: Sequence, check_id: str) -> None:

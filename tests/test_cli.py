@@ -33,6 +33,7 @@ from hypothesis import strategies as st
 import faults
 import reference
 import sortlab.cli as cli
+import sortlab.network as network
 import sortlab.trace as trace
 from sortlab import replay_trace
 from sortlab.cli import (
@@ -1011,11 +1012,22 @@ def test_verify_pi_at_n_max_one_is_trivially_green(capsys):
     assert payload["checks"]["pi"]["details"]["inputs_examined"] == 1
 
 
+def test_verify_theorems_at_n_max_one_still_cover_n_2(capsys):
+    # As instability always covers 2-3, theorem2-4 always cover n = 2, so none passes having examined nothing.
+    theorems = ("--checks", "theorem2,theorem3,theorem4")
+    rc, out, _ = run(capsys, "verify", "--n-max", "1", *theorems)
+    assert rc == 0
+    checks = json.loads(out)["checks"]
+    assert [list(checks[t]["details"]["per_n"]) for t in ("theorem2", "theorem4")] == [["2"], ["2"]]
+    assert [checks[t]["details"]["inputs_examined"] for t in ("theorem3", "theorem4")] == [2, 2]
+    assert checks == json.loads(run(capsys, "verify", "--n-max", "2", *theorems)[1])["checks"]
+
+
 def test_verify_failing_check_exits_one(capsys, monkeypatch):
     def forced_failure(values, claims, compares):
         return {claim: {"input": list(values), "reason": "forced"} for claim in claims}
 
-    monkeypatch.setattr(cli, "_check_replay", forced_failure)
+    monkeypatch.setattr(network, "_check_replay", forced_failure)
     rc, out, _ = run(capsys, "verify", "--checks", "pi", "--n-max", "2")
     assert rc == 1
     payload = json.loads(out)
@@ -1165,7 +1177,7 @@ def test_verify_pi_and_lemma1_share_one_traced_sort_per_permutation(capsys, monk
     ends = [tuple(v) for n in range(7, reach + 1) for v in (range(1, n + 1), range(n, 0, -1))]
     drawn = Counter(traced) - Counter(swept + ends)
     assert Counter(traced) - drawn == Counter(swept + ends)
-    assert sorted(map(len, drawn.elements())) == [n for n in range(7, reach + 1) for _ in range(cli.TIE_SAMPLES)]
+    assert sorted(map(len, drawn.elements())) == [n for n in range(7, reach + 1) for _ in range(network.TIE_SAMPLES)]
     assert all(sorted(values) == list(range(1, len(values) + 1)) for values in drawn)
 
 

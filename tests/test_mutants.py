@@ -15,6 +15,7 @@ import pytest
 
 import faults
 import sortlab.cli as cli
+import sortlab.network as network
 import sortlab.sortcore
 from faults import mutant
 from sortlab import icbics_sort
@@ -174,7 +175,7 @@ def test_verify_fails_a_kernel_that_leaves_its_network_past_the_sweep(monkeypatc
     assert rc == 1
     for claim, counterexample in {"pi": pi, "lemma1": lemma1}.items():
         if counterexample is None:
-            expected = {"passed": True, "counterexample": None, "details": proved(claim, cli.PROOF_N_MAX[claim])}
+            expected = {"passed": True, "counterexample": None, "details": proved(claim, network.PROOF_N_MAX[claim])}
         else:
             expected = {"passed": False, "counterexample": counterexample, "details": proved(claim, 6)}
             if "compare" not in counterexample:
@@ -197,9 +198,9 @@ def test_verify_holds_every_swept_permutation_to_its_lengths_network(monkeypatch
 def test_verify_reports_a_proof_word_the_kernel_does_not_fail(monkeypatch, capsys):
     # A prover that finds a word at n = 7 on which the real kernel passes pi: the kernel did not
     # follow the network there, so the verdict shows the word and its lifted input.
-    prover, check, words = cli._PROOFS["pi"]
+    prover, words = network._PROOFS["pi"]
     word = [1, 0, 0, 0, 0, 0, 0]
-    monkeypatch.setitem(cli._PROOFS, "pi", (lambda network, n: word if n == 7 else prover(network, n), check, words))
+    monkeypatch.setitem(network._PROOFS, "pi", (lambda net, n: word if n == 7 else prover(net, n), words))
     rc = cli.main(["verify", "--n-max", "8", "--checks", "pi"])
     assert rc == 1
     assert json.loads(capsys.readouterr().out)["checks"]["pi"] == {

@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import sortlab
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -29,20 +31,24 @@ def test_import_sortlab_loads_neither_the_cli_nor_its_modules():
     assert added.isdisjoint({"argparse", "csv", "json", "statistics"})
 
 
-def test_import_sortlab_trace_loads_neither_the_cli_nor_its_parsers():
-    # The trace format sits below the CLI, so a library reader of traces pays for none of these.
-    probe = "import sys; old = set(sys.modules); import sortlab.trace; print(*sys.modules.keys() - old)"
+@pytest.mark.parametrize("module", ["sortlab.trace", "sortlab.network"])
+def test_import_sortlab_trace_loads_neither_the_cli_nor_its_parsers(module):
+    # The trace format and the proofs sit below the CLI, so a library caller of either pays for none
+    # of these, and neither can import the CLI back.
+    probe = f"import sys; old = set(sys.modules); import {module}; print(*sys.modules.keys() - old)"
     run = subprocess.run([sys.executable, "-E", "-s", "-c", probe], cwd=SRC, capture_output=True, text=True, check=True)
     added = set(run.stdout.split())
-    assert "sortlab.trace" in added
-    assert added.isdisjoint({"sortlab.cli", "sortlab.network", "argparse", "csv", "json"})
+    assert module in added
+    assert added.isdisjoint({"sortlab.cli", "sortlab.network", "argparse", "csv", "json"} - {module})
 
 
 def test_the_cli_holds_the_trace_module_s_own_load_and_write():
-    # perfbench wraps both in sortlab.cli, so each must be the one implementation, not a copy;
+    # perfbench wraps these in sortlab.cli, so each must be the one implementation, not a copy;
     # and a patch of cli._BLOCK would never reach the reader, so the CLI has no such name.
-    from sortlab import cli, trace
+    from sortlab import cli, trace, verify
 
     assert cli.load_trace is trace.load_trace
     assert cli.write_trace is trace.write_trace
+    assert cli.check_pi_invariant is verify.check_pi_invariant
+    assert cli.check_lemma1 is verify.check_lemma1
     assert not hasattr(cli, "_BLOCK")

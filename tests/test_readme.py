@@ -14,7 +14,8 @@ from pathlib import Path
 import pytest
 
 from sortlab import trace
-from sortlab.cli import BENCH_COLUMNS, PROOF_N_MAX, SWEEP_N_MAX, TIE_SAMPLES, main
+from sortlab.cli import BENCH_COLUMNS, main
+from sortlab.network import PROOF_N_MAX, SWEEP_N_MAX, TIE_SAMPLES
 from sortlab.verify import CHECK_IDS
 
 README = Path(__file__).resolve().parents[1] / "README.md"
