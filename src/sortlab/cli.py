@@ -144,11 +144,6 @@ def cmd_sort(args: argparse.Namespace) -> int:
 
 # exhaustive_summary, cached for one verify run.
 Survey = Callable[[int], OracleSummary]
-# Each survey claim's counterexample remade on an input that failed it, or None; names resolve when called.
-_REBUILD = {
-    "correctness": lambda values: _check_sorted(values, ("correctness",)).get("correctness"),
-    **dict.fromkeys(("theorem2", "theorem3", "theorem4"), lambda values: check_theorem_bounds(values).counterexample),
-}
 
 
 def _check_sorted(values: Sequence[int], claims: tuple[str, ...]) -> dict[str, dict]:
@@ -164,7 +159,11 @@ def _survey_failure(check_id: str, summary: OracleSummary, examined: int) -> Opt
     if check_id not in summary.first_violations:
         return None
     ordinal, values = summary.first_violations[check_id]
-    return VerificationVerdict(False, _REBUILD[check_id](values), {"inputs_examined": examined + ordinal})
+    if check_id == "correctness":
+        counterexample = _check_sorted(values, (check_id,)).get(check_id)
+    else:
+        counterexample = check_theorem_bounds(values).counterexample
+    return VerificationVerdict(False, counterexample, {"inputs_examined": examined + ordinal})
 
 
 def _verify_correctness(n_max: int, survey: Survey) -> VerificationVerdict:
@@ -180,60 +179,42 @@ def _verify_correctness(n_max: int, survey: Survey) -> VerificationVerdict:
     return _sweep(_check_sorted, ("correctness",), chain.from_iterable(duplicates), examined)["correctness"]
 
 
-def _verify_theorem2(n_max: int, survey: Survey) -> VerificationVerdict:
-    per_n = {}
-    for n in range(2, max(n_max, 2) + 1):
-        summary = survey(n)
-        expected = swap_bounds(n, 0)[0]
-        if summary.max_swaps != expected:
-            counterexample = {"n": n, "max_swaps": summary.max_swaps, "expected": expected}
-            return VerificationVerdict(False, counterexample, {"per_n": per_n})
-        if n >= 3:
-            wanted = sorted(theorem2_extremal_inputs(n))
-            if summary.argmax_inputs != wanted:
-                counterexample = {"n": n, "argmax_inputs": summary.argmax_inputs, "expected": wanted}
-                return VerificationVerdict(False, counterexample, {"per_n": per_n})
-        per_n[str(n)] = {"max_swaps": summary.max_swaps, "argmax_inputs": summary.argmax_inputs}
-    return VerificationVerdict(True, details={"per_n": per_n})
+# Where each theorem's bound is attained at length n: (observed, expected), from n's survey.
+# theorem2's second attainer needs n >= 3, so its attainers are named from n = 3; theorem3's
+# is the sorted input, which has no inversions.
+_ATTAINED = {
+    "theorem2": lambda n, summary: (
+        {"max_swaps": summary.max_swaps, "argmax_inputs": summary.argmax_inputs},
+        {
+            "max_swaps": swap_bounds(n, 0)[0],
+            "argmax_inputs": sorted(theorem2_extremal_inputs(n)) if n >= 3 else summary.argmax_inputs,
+        },
+    ),
+    "theorem3": lambda n, summary: (
+        {"sorted_input_swaps": icbics_sort(range(1, n + 1)).swaps},
+        {"sorted_input_swaps": swap_bounds(n, 0)[1]},
+    ),
+    "theorem4": lambda n, summary: (
+        {"min_swaps": summary.min_swaps, "argmin_inputs": summary.argmin_inputs},
+        {"min_swaps": swap_bounds(n, 0)[2], "argmin_inputs": [theorem4_extremal_input(n)]},
+    ),
+}
 
 
-def _verify_theorem3(n_max: int, survey: Survey) -> VerificationVerdict:
-    examined = 0
-    for n in range(2, max(n_max, 2) + 1):
-        summary = survey(n)
-        if escaped := _survey_failure("theorem3", summary, examined):
-            return escaped
-        examined += summary.inputs_examined
-        # The bound is tight exactly at the already-sorted input, which has no inversions.
-        sorted_cost = icbics_sort(range(1, n + 1)).swaps
-        expected = swap_bounds(n, 0)[1]
-        if sorted_cost != expected:
-            counterexample = {"n": n, "sorted_input_swaps": sorted_cost, "expected": expected}
-            return VerificationVerdict(False, counterexample, {"inputs_examined": examined})
-    details = {"inputs_examined": examined, "edge_case": "sorted input costs exactly 2(n-1) swaps at every n checked"}
-    return VerificationVerdict(True, details=details)
-
-
-def _verify_theorem4(n_max: int, survey: Survey) -> VerificationVerdict:
+def _verify_theorem(check_id: str, n_max: int, survey: Survey) -> VerificationVerdict:
+    # At each n from 2, the survey's first input out of the theorem's bound, else a bound not
+    # attained where the theorem says it is.
     per_n = {}
     examined = 0
     for n in range(2, max(n_max, 2) + 1):
         summary = survey(n)
-        if escaped := _survey_failure("theorem4", summary, examined):
+        if escaped := _survey_failure(check_id, summary, examined):
             return escaped
         examined += summary.inputs_examined
-        expected = swap_bounds(n, 0)[2]
-        wanted = [theorem4_extremal_input(n)]
-        if summary.min_swaps != expected or summary.argmin_inputs != wanted:
-            counterexample = {
-                "n": n,
-                "min_swaps": summary.min_swaps,
-                "argmin_inputs": summary.argmin_inputs,
-                "expected_min": expected,
-                "expected_argmin": wanted,
-            }
-            return VerificationVerdict(False, counterexample, {"per_n": per_n})
-        per_n[str(n)] = {"min_swaps": summary.min_swaps, "argmin_inputs": summary.argmin_inputs}
+        observed, expected = _ATTAINED[check_id](n, summary)
+        if observed != expected:
+            return VerificationVerdict(False, {"n": n, **observed, "expected": expected}, {"inputs_examined": examined})
+        per_n[str(n)] = observed
     return VerificationVerdict(True, details={"per_n": per_n, "inputs_examined": examined})
 
 
@@ -252,9 +233,7 @@ def _verify_instability(n_max: int, survey: Survey) -> VerificationVerdict:
 # called with --n-max and the run's cached exhaustive survey.
 _CHECKS = {
     "correctness": _verify_correctness,
-    "theorem2": _verify_theorem2,
-    "theorem3": _verify_theorem3,
-    "theorem4": _verify_theorem4,
+    **{check_id: partial(_verify_theorem, check_id) for check_id in _ATTAINED},
     "instability": _verify_instability,
 }
 

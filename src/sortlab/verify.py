@@ -10,7 +10,8 @@ traced run; ``sortlab.network.prove_claims`` sweeps and proves them with
 it.  Checks return a :class:`VerificationVerdict`; a failing verdict
 always carries a replayable counterexample.  ``sortlab verify`` reports
 each check's whole sweep as one verdict too, with what the sweep covered
-(inputs examined, per-n extremes) in its ``details``.
+(inputs examined, and per n where each theorem's bound is attained) in its
+``details``.
 
 Checks that assume distinct elements raise ``ValueError`` when handed
 duplicates instead of producing an undefined verdict.

@@ -1018,8 +1018,11 @@ def test_verify_theorems_at_n_max_one_still_cover_n_2(capsys):
     rc, out, _ = run(capsys, "verify", "--n-max", "1", *theorems)
     assert rc == 0
     checks = json.loads(out)["checks"]
-    assert [list(checks[t]["details"]["per_n"]) for t in ("theorem2", "theorem4")] == [["2"], ["2"]]
-    assert [checks[t]["details"]["inputs_examined"] for t in ("theorem3", "theorem4")] == [2, 2]
+    assert {t: verdict["details"] for t, verdict in checks.items()} == {
+        "theorem2": {"per_n": {"2": {"max_swaps": 2, "argmax_inputs": [[1, 2]]}}, "inputs_examined": 2},
+        "theorem3": {"per_n": {"2": {"sorted_input_swaps": 2}}, "inputs_examined": 2},
+        "theorem4": {"per_n": {"2": {"min_swaps": 1, "argmin_inputs": [[2, 1]]}}, "inputs_examined": 2},
+    }
     assert checks == json.loads(run(capsys, "verify", "--n-max", "2", *theorems)[1])["checks"]
 
 
@@ -1083,6 +1086,36 @@ def test_verify_lost_swap_breaks_theorem4(capsys, monkeypatch):
         "violated": ["theorem4"],
     }
     assert checks["theorem4"]["details"] == {"inputs_examined": 27}
+
+
+def test_verify_theorem2_names_the_input_that_breaks_its_bound(capsys, monkeypatch):
+    faults.install(monkeypatch, faults.edited(lambda v, r: faults.add_swaps(r, 2000) if v == (2, 1, 3) else r))
+    rc, out, _ = run(capsys, "verify", "--checks", "theorem2", "--n-max", "4")
+    assert rc == 1
+    counterexample = {"input": [2, 1, 3], "inversions": 1, "swaps": 2003, "violated": ["theorem2", "theorem3"]}
+    assert json.loads(out)["checks"]["theorem2"] == {
+        "passed": False,
+        "counterexample": counterexample,
+        "details": {"inputs_examined": 2 + 3},
+    }
+    assert faults.recheck("theorem2", [2, 1, 3]) == counterexample
+
+
+def test_verify_theorem4_reports_a_minimum_not_attained(capsys, monkeypatch):
+    # One swap more on (4, 1, 2, 3) keeps it inside theorem4's bound, but then no input of length 4 attains it.
+    faults.install(monkeypatch, faults.edited(lambda v, r: faults.add_swaps(r, +1) if v == (4, 1, 2, 3) else r))
+    rc, out, _ = run(capsys, "verify", "--checks", "theorem4", "--n-max", "4")
+    assert rc == 1
+    assert json.loads(out)["checks"]["theorem4"] == {
+        "passed": False,
+        "counterexample": {
+            "n": 4,
+            "min_swaps": 4,
+            "argmin_inputs": [[1, 4, 2, 3], [2, 1, 4, 3], [3, 1, 2, 4], [4, 1, 2, 3], [4, 1, 3, 2], [4, 2, 1, 3]],
+            "expected": {"min_swaps": 3, "argmin_inputs": [[4, 1, 2, 3]]},
+        },
+        "details": {"inputs_examined": 2 + 6 + 24},
+    }
 
 
 @pytest.mark.parametrize(

@@ -99,7 +99,7 @@ def test_theorem3_reports_an_untight_sorted_input_per_n(monkeypatch, capsys):
     assert rc == 1
     assert payload["checks"]["theorem3"] == {
         "passed": False,
-        "counterexample": {"n": 2, "sorted_input_swaps": 1, "expected": 2},
+        "counterexample": {"n": 2, "sorted_input_swaps": 1, "expected": {"sorted_input_swaps": 2}},
         "details": {"inputs_examined": 2},
     }
 
