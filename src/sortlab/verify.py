@@ -46,7 +46,8 @@ class VerificationVerdict:
     holding at least the input plus the location of the violation
     (failing outer index or event seq) and the expected vs observed
     values, enough to reproduce the failure by re-running the same
-    check.  ``details`` holds facts about the run, such as how many
+    check; a sweep that fails at a length n without a failing input
+    holds n and the observed and expected values.  ``details`` holds facts about the run, such as how many
     inputs a sweep examined; the per-input checks here leave it empty.
     Both hold only values ``json.dumps`` prints unchanged, tuples
     included (as arrays), so ``sortlab verify`` prints
